@@ -1,7 +1,7 @@
 /// \file micro_io.cpp
 /// \brief Engineering microbenchmarks (μ4–μ5): .fgl round-trip and Verilog
-///        parsing throughput, bit-parallel simulation, and catalog filter
-///        latency.
+///        parsing throughput, bit-parallel simulation, catalog filter
+///        latency, and the cost of serving one catalog page.
 
 #include "benchmarks/synthetic.hpp"
 #include "core/catalog.hpp"
@@ -10,10 +10,16 @@
 #include "io/fgl_writer.hpp"
 #include "io/verilog_reader.hpp"
 #include "io/verilog_writer.hpp"
+#include "layout/clocking_scheme.hpp"
+#include "layout/gate_level_layout.hpp"
 #include "network/simulation.hpp"
 #include "physical_design/ortho.hpp"
+#include "service/query.hpp"
 
 #include <benchmark/benchmark.h>
+
+#include <array>
+#include <string>
 
 namespace
 {
@@ -98,6 +104,64 @@ void catalog_filtering(benchmark::State& state)
     }
 }
 BENCHMARK(catalog_filtering)->Unit(benchmark::kMicrosecond)->Iterations(500);
+
+/// 512 blank layouts with provenance spread over every facet: the query
+/// engine reads metadata and ids only, never gates.
+const cat::catalog& page_catalog()
+{
+    static const cat::catalog catalog = []
+    {
+        static const std::array<const char*, 3> algorithms{"exact", "ortho", "NPR"};
+        static const std::array<lyt::clocking_kind, 3> clockings{lyt::clocking_kind::twoddwave,
+                                                                 lyt::clocking_kind::use, lyt::clocking_kind::res};
+        cat::catalog c;
+        for (std::uint32_t i = 0; i < 512; ++i)
+        {
+            cat::layout_record record{};
+            record.benchmark_set = i % 3 == 0 ? "Trindade16" : "Fontes18";
+            record.benchmark_name = std::string{"f"} + std::to_string(i % 64);
+            record.library = i % 2 == 0 ? cat::gate_library_kind::qca_one : cat::gate_library_kind::bestagon;
+            record.algorithm = algorithms[i % algorithms.size()];
+            if (i % 4 == 1)
+            {
+                record.optimizations = {"InOrd (SDN)", "PLO"};
+            }
+            else if (i % 4 == 2)
+            {
+                record.optimizations = {"45°"};
+            }
+            record.runtime = 0.001 * static_cast<double>(i * 7919 % 1000);
+            record.layout =
+                lyt::gate_level_layout{std::string{"page"} + std::to_string(i), lyt::layout_topology::cartesian,
+                                       lyt::clocking_scheme::create(clockings[i % clockings.size()]), 1 + i % 13,
+                                       1 + i % 11};
+            record.clocking = record.layout.clocking().name();
+            c.add_layout(std::move(record));
+        }
+        return c;
+    }();
+    return catalog;
+}
+
+/// One deep result page, as the server renders it on a cache miss: run the
+/// unfiltered query and serialize the page (limit 25 at offset 300).
+void query_page(benchmark::State& state, const svc::sort_key key)
+{
+    const svc::query_engine engine{page_catalog()};
+    svc::page_query query{};
+    query.sort = key;
+    query.offset = 300;
+    query.limit = 25;
+    for (auto _ : state)
+    {
+        const auto body = svc::page_json_string(engine.run(query));
+        benchmark::DoNotOptimize(body.data());
+    }
+}
+BENCHMARK_CAPTURE(query_page, area, svc::sort_key::area)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(query_page, benchmark, svc::sort_key::benchmark)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(query_page, algorithm, svc::sort_key::algorithm)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(query_page, runtime, svc::sort_key::runtime)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -3,6 +3,7 @@
 #include "core/json_export.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -401,9 +402,14 @@ std::string json_number_string(const double value)
 {
     if (std::isfinite(value) && value == std::floor(value) && std::fabs(value) < 1e15)
     {
-        char buffer[32];
-        std::snprintf(buffer, sizeof(buffer), "%.0f", value);
-        return buffer;
+        // the digits "%.0f" prints, without the cost of formatting a double
+        if (value == 0.0 && std::signbit(value))
+        {
+            return "-0";
+        }
+        char buffer[24];
+        const auto end = std::to_chars(buffer, buffer + sizeof buffer, static_cast<std::int64_t>(value)).ptr;
+        return std::string(buffer, end);
     }
     if (!std::isfinite(value))
     {

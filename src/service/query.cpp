@@ -1,12 +1,15 @@
 #include "service/query.hpp"
 
+#include "core/json_export.hpp"
 #include "io/fgl_writer.hpp"
 #include "service/hash.hpp"
 #include "telemetry/telemetry.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <map>
+#include <numeric>
 #include <tuple>
 
 namespace mnt::svc
@@ -14,15 +17,6 @@ namespace mnt::svc
 
 namespace
 {
-
-/// Posting list of \p value in \p index (empty when the value is unknown).
-const std::vector<std::uint32_t>& lookup(const std::map<std::string, std::vector<std::uint32_t>>& index,
-                                         const std::string& value)
-{
-    const auto found = index.find(value);
-    static const std::vector<std::uint32_t> empty{};
-    return found != index.cend() ? found->second : empty;
-}
 
 /// Union of sorted posting lists (ascending, duplicate-free).
 std::vector<std::uint32_t> postings_union(std::vector<const std::vector<std::uint32_t>*> lists)
@@ -48,15 +42,19 @@ std::vector<std::uint32_t> postings_intersection(const std::vector<std::uint32_t
     return out;
 }
 
+/// Decimal digits only, within size_t: a sign, whitespace or an overflow is
+/// an error, never a wrapped value (the JSON body's as_u64 rejects negative
+/// and out-of-range numbers the same way).
 std::size_t parse_size(const std::string& text, const char* what)
 {
-    char* end = nullptr;
-    const auto value = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
+    std::size_t value = 0;
+    const auto* const last = text.data() + text.size();
+    const auto [end, error] = std::from_chars(text.data(), last, value);
+    if (error != std::errc{} || end != last)
     {
         throw mnt_error{std::string{"query: invalid "} + what + " '" + text + "'"};
     }
-    return static_cast<std::size_t>(value);
+    return value;
 }
 
 bool parse_bool(const std::string& text, const char* what)
@@ -116,16 +114,6 @@ void append_list(std::string& out, const char* tag, const std::vector<std::strin
     }
 }
 
-json_value counts_to_json(const std::map<std::string, std::size_t>& counts)
-{
-    auto object = json_value::make_object();
-    for (const auto& [name, count] : counts)
-    {
-        object.set(name, json_value{static_cast<std::uint64_t>(count)});
-    }
-    return object;
-}
-
 json_value row_to_json(const cat::layout_record& r, const std::string& id)
 {
     auto row = json_value::make_object();
@@ -159,6 +147,15 @@ json_value row_to_json(const cat::layout_record& r, const std::string& id)
     }
     return row;
 }
+
+/// The facet maps in the order of their page blocks (and of
+/// query_engine::by_facet), with the block names.
+using facet_map = std::map<std::string, std::size_t>;
+constexpr std::array<facet_map cat::facet_counts::*, 6> facet_maps{
+    &cat::facet_counts::per_set,       &cat::facet_counts::per_library,      &cat::facet_counts::per_clocking,
+    &cat::facet_counts::per_algorithm, &cat::facet_counts::per_optimization, &cat::facet_counts::per_family};
+constexpr std::array<const char*, 6> facet_names{"sets",       "libraries",     "clockings",
+                                                 "algorithms", "optimizations", "families"};
 
 }  // namespace
 
@@ -467,7 +464,7 @@ query_engine::query_engine(const cat::catalog& cat, std::vector<std::string> ids
 {
     const tel::stopwatch watch;
     const auto& records = cat.layouts();
-    const auto n = records.size();
+    const auto n = static_cast<std::uint32_t>(records.size());
 
     if (layout_ids.size() != n)
     {
@@ -483,41 +480,127 @@ query_engine::query_engine(const cat::catalog& cat, std::vector<std::string> ids
         id_index.emplace(layout_ids[i], i);  // first occurrence wins
     }
 
+    // posting lists by value, frozen into sorted term indexes below
+    std::map<std::string, posting_list> names;
+    std::array<std::map<std::string, posting_list>, num_facets> facets;
     for (std::uint32_t i = 0; i < n; ++i)
     {
         const auto& r = records[i];
-        by_set[r.benchmark_set].push_back(i);
-        by_name[r.benchmark_name].push_back(i);
-        by_clocking[r.clocking].push_back(i);
-        by_algorithm[r.algorithm].push_back(i);
-        by_library[static_cast<std::size_t>(r.library)].push_back(i);
-        if (!r.family.empty())
-        {
-            by_family[r.family].push_back(i);
-        }
+        names[r.benchmark_name].push_back(i);
+        facets[set][r.benchmark_set].push_back(i);
+        facets[library][cat::gate_library_name(r.library)].push_back(i);
+        facets[clocking][r.clocking].push_back(i);
+        facets[algorithm][r.algorithm].push_back(i);
         for (const auto& opt : r.optimizations)
         {
-            auto& postings = by_optimization[opt];
+            auto& postings = facets[optimization][opt];
             if (postings.empty() || postings.back() != i)  // dedupe repeated tags
             {
                 postings.push_back(i);
             }
         }
+        if (!r.family.empty())
+        {
+            facets[family][r.family].push_back(i);
+        }
+    }
+    const auto freeze = [](std::map<std::string, posting_list>& index)
+    {
+        term_index frozen{};
+        for (auto& [value, postings] : index)
+        {
+            frozen.values.push_back(value);
+            frozen.postings.push_back(std::move(postings));
+        }
+        return frozen;
+    };
+    by_name = freeze(names);
+    for (std::size_t f = 0; f < facets.size(); ++f)
+    {
+        by_facet[f] = freeze(facets[f]);
+        term_base[f + 1] = term_base[f] + static_cast<std::uint32_t>(by_facet[f].values.size());
     }
 
-    // canonical_rank: position of each record in the canonical total order
-    std::vector<std::uint32_t> order(n);
+    // every record's facet values as term ids, repeated tags included
+    const auto term = [&](const std::size_t f, const std::string& value)
+    {
+        const auto& values = by_facet[f].values;
+        return term_base[f] +
+               static_cast<std::uint32_t>(std::lower_bound(values.cbegin(), values.cend(), value) - values.cbegin());
+    };
+    term_begin.reserve(n + 1);
+    for (const auto& r : records)
+    {
+        term_begin.push_back(static_cast<std::uint32_t>(facet_terms.size()));
+        facet_terms.push_back(term(set, r.benchmark_set));
+        facet_terms.push_back(term(library, cat::gate_library_name(r.library)));
+        facet_terms.push_back(term(clocking, r.clocking));
+        facet_terms.push_back(term(algorithm, r.algorithm));
+        for (const auto& opt : r.optimizations)
+        {
+            facet_terms.push_back(term(optimization, opt));
+        }
+        if (!r.family.empty())
+        {
+            facet_terms.push_back(term(family, r.family));
+        }
+    }
+    term_begin.push_back(static_cast<std::uint32_t>(facet_terms.size()));
+    catalog_counts.assign(term_base.back(), 0);
+    for (const auto t : facet_terms)
+    {
+        ++catalog_counts[t];
+    }
+
+    // the canonical order, then each page order as a stable sort of it by
+    // the primary key: exactly what sorting a canonical selection gives
+    const auto sorted = [](posting_list order, const auto& less)
+    {
+        std::stable_sort(order.begin(), order.end(), less);
+        posting_list rank(order.size());
+        for (std::uint32_t position = 0; position < order.size(); ++position)
+        {
+            rank[order[position]] = position;
+        }
+        return record_order{std::move(order), std::move(rank)};
+    };
+    posting_list catalog_order(n);
+    std::iota(catalog_order.begin(), catalog_order.end(), 0U);
+    canonical = sorted(std::move(catalog_order), [&](const std::uint32_t a, const std::uint32_t b)
+                       { return cat::canonical_layout_less(records[a], records[b]); });
+
+    std::vector<std::string> labels;
+    labels.reserve(n);
+    for (const auto& r : records)
+    {
+        labels.push_back(r.label());
+    }
+    const auto primary_less = [&](const sort_key key, const std::uint32_t a, const std::uint32_t b)
+    {
+        switch (key)
+        {
+            case sort_key::area: return records[a].area < records[b].area;
+            case sort_key::benchmark:
+                return std::tie(records[a].benchmark_set, records[a].benchmark_name) <
+                       std::tie(records[b].benchmark_set, records[b].benchmark_name);
+            case sort_key::algorithm: return labels[a] < labels[b];
+            case sort_key::runtime: return records[a].runtime < records[b].runtime;
+        }
+        return false;
+    };
+    for (const auto key : {sort_key::area, sort_key::benchmark, sort_key::algorithm, sort_key::runtime})
+    {
+        const auto slot = 2 * static_cast<std::size_t>(key);
+        page_orders[slot] = sorted(canonical.records, [&](const std::uint32_t a, const std::uint32_t b)
+                                   { return primary_less(key, a, b); });
+        page_orders[slot + 1] = sorted(canonical.records, [&](const std::uint32_t a, const std::uint32_t b)
+                                       { return primary_less(key, b, a); });
+    }
+
+    rendered_rows.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i)
     {
-        order[i] = i;
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](const std::uint32_t a, const std::uint32_t b)
-                     { return cat::canonical_layout_less(records[a], records[b]); });
-    canonical_rank.resize(n);
-    for (std::uint32_t position = 0; position < n; ++position)
-    {
-        canonical_rank[order[position]] = position;
+        rendered_rows.push_back(row_to_json(records[i], layout_ids[i]).dump());
     }
 
     if (tel::enabled())
@@ -528,12 +611,49 @@ query_engine::query_engine(const cat::catalog& cat, std::vector<std::string> ids
     }
 }
 
+const query_engine::posting_list& query_engine::term_index::lookup(const std::string& value) const
+{
+    static const posting_list empty{};
+    const auto found = std::lower_bound(values.cbegin(), values.cend(), value);
+    return found != values.cend() && *found == value ? postings[static_cast<std::size_t>(found - values.cbegin())] :
+                                                       empty;
+}
+
+query_engine::posting_list query_engine::record_order::window(posting_list selection, const std::size_t first,
+                                                              const std::size_t last) const
+{
+    if (first >= last)
+    {
+        return {};
+    }
+    const auto from = static_cast<std::ptrdiff_t>(first);
+    const auto to = static_cast<std::ptrdiff_t>(last);
+    if (selection.size() == records.size())  // every record: a slice of the order itself
+    {
+        return {records.cbegin() + from, records.cbegin() + to};
+    }
+    // positions are unique, so selecting by position needs no tie-break
+    for (auto& index : selection)
+    {
+        index = rank[index];
+    }
+    std::nth_element(selection.begin(), selection.begin() + from, selection.end());
+    std::partial_sort(selection.begin() + from, selection.begin() + to, selection.end());
+    posting_list page;
+    page.reserve(last - first);
+    for (auto position = selection.cbegin() + from; position != selection.cbegin() + to; ++position)
+    {
+        page.push_back(records[*position]);
+    }
+    return page;
+}
+
 const cat::layout_record& query_engine::record(const std::uint32_t index) const
 {
     return cat_ref.layouts()[index];
 }
 
-std::vector<const cat::layout_record*> query_engine::filter(const cat::filter_query& query) const
+query_engine::posting_list query_engine::select(const cat::filter_query& query) const
 {
     const tel::stopwatch watch;
     const auto n = static_cast<std::uint32_t>(cat_ref.layouts().size());
@@ -542,52 +662,45 @@ std::vector<const cat::layout_record*> query_engine::filter(const cat::filter_qu
     std::vector<posting_list> constraints;
     if (query.benchmark_set.has_value())
     {
-        constraints.push_back(lookup(by_set, *query.benchmark_set));
+        constraints.push_back(by_facet[set].lookup(*query.benchmark_set));
     }
     if (query.benchmark_name.has_value())
     {
-        constraints.push_back(lookup(by_name, *query.benchmark_name));
+        constraints.push_back(by_name.lookup(*query.benchmark_name));
     }
-    if (!query.libraries.empty())
-    {
-        std::vector<const posting_list*> lists;
-        bool seen[2] = {false, false};
-        for (const auto library : query.libraries)
-        {
-            const auto slot = static_cast<std::size_t>(library);
-            if (!seen[slot])
-            {
-                seen[slot] = true;
-                lists.push_back(&by_library[slot]);
-            }
-        }
-        constraints.push_back(postings_union(std::move(lists)));
-    }
-    const auto union_constraint = [&](const std::map<std::string, posting_list>& index,
-                                      const std::vector<std::string>& values)
+    const auto union_constraint = [&](const term_index& index, const std::vector<std::string>& values)
     {
         std::vector<const posting_list*> lists;
         for (const auto& value : values)
         {
-            lists.push_back(&lookup(index, value));
+            lists.push_back(&index.lookup(value));
         }
         constraints.push_back(postings_union(std::move(lists)));
     };
+    if (!query.libraries.empty())
+    {
+        std::vector<std::string> libraries;
+        for (const auto kind : query.libraries)
+        {
+            libraries.push_back(cat::gate_library_name(kind));
+        }
+        union_constraint(by_facet[library], libraries);
+    }
     if (!query.clockings.empty())
     {
-        union_constraint(by_clocking, query.clockings);
+        union_constraint(by_facet[clocking], query.clockings);
     }
     if (!query.algorithms.empty())
     {
-        union_constraint(by_algorithm, query.algorithms);
+        union_constraint(by_facet[algorithm], query.algorithms);
     }
     if (!query.families.empty())
     {
-        union_constraint(by_family, query.families);
+        union_constraint(by_facet[family], query.families);
     }
     for (const auto& opt : query.required_optimizations)
     {
-        constraints.push_back(lookup(by_optimization, opt));
+        constraints.push_back(by_facet[optimization].lookup(opt));
     }
 
     // intersect smallest-first to keep intermediate results minimal
@@ -595,10 +708,7 @@ std::vector<const cat::layout_record*> query_engine::filter(const cat::filter_qu
     if (constraints.empty())
     {
         candidates.resize(n);
-        for (std::uint32_t i = 0; i < n; ++i)
-        {
-            candidates[i] = i;
-        }
+        std::iota(candidates.begin(), candidates.end(), 0U);
     }
     else
     {
@@ -639,75 +749,83 @@ std::vector<const cat::layout_record*> query_engine::filter(const cat::filter_qu
         std::sort(candidates.begin(), candidates.end());
     }
 
-    // canonical result order (ranks are unique, so plain sort is stable here)
-    std::sort(candidates.begin(), candidates.end(),
-              [&](const std::uint32_t a, const std::uint32_t b) { return canonical_rank[a] < canonical_rank[b]; });
-
-    std::vector<const cat::layout_record*> selection;
-    selection.reserve(candidates.size());
-    for (const auto i : candidates)
-    {
-        selection.push_back(&record(i));
-    }
-
     if (tel::enabled())
     {
         tel::count("query.filters");
-        tel::count("query.filter_hits", selection.size());
+        tel::count("query.filter_hits", candidates.size());
         tel::observe("query.filter_s", watch.seconds());
     }
-    return selection;
+    return candidates;
+}
+
+cat::facet_counts query_engine::count_facets(const posting_list& selection) const
+{
+    // a selection of every record has the catalog's counts
+    auto counts = catalog_counts;
+    if (selection.size() != cat_ref.layouts().size())
+    {
+        counts.assign(counts.size(), 0);
+        for (const auto i : selection)
+        {
+            for (auto t = term_begin[i]; t < term_begin[i + 1]; ++t)
+            {
+                ++counts[facet_terms[t]];
+            }
+        }
+    }
+    cat::facet_counts histograms{};
+    for (std::size_t f = 0; f < by_facet.size(); ++f)
+    {
+        auto& histogram = histograms.*facet_maps[f];
+        for (std::size_t v = 0; v < by_facet[f].values.size(); ++v)
+        {
+            if (const auto count = counts[term_base[f] + v]; count > 0)
+            {
+                histogram.emplace_hint(histogram.end(), by_facet[f].values[v], count);
+            }
+        }
+    }
+    return histograms;
+}
+
+std::vector<const cat::layout_record*> query_engine::filter(const cat::filter_query& query) const
+{
+    auto selection = select(query);
+    const auto count = selection.size();
+    std::vector<const cat::layout_record*> result;
+    result.reserve(count);
+    for (const auto i : canonical.window(std::move(selection), 0, count))
+    {
+        result.push_back(&record(i));
+    }
+    return result;
 }
 
 result_page query_engine::run(const page_query& query) const
 {
     MNT_SPAN("query/run");
+    auto selection = select(query.filter);
     result_page page{};
-    auto selection = filter(query.filter);
     page.total = selection.size();
     page.offset = query.offset;
 
     if (query.include_facets)
     {
-        page.facets = cat::compute_facets(selection);
+        page.facets = count_facets(selection);
     }
 
-    // the requested sort key, canonical order as tie-break (selection is
-    // already canonical, so a stable sort by the primary key alone suffices)
-    const auto ascending = query.order == sort_order::ascending;
-    const auto primary = [&](const cat::layout_record* a, const cat::layout_record* b)
-    {
-        switch (query.sort)
-        {
-            case sort_key::area: return ascending ? a->area < b->area : b->area < a->area;
-            case sort_key::benchmark:
-            {
-                const auto ka = std::tie(a->benchmark_set, a->benchmark_name);
-                const auto kb = std::tie(b->benchmark_set, b->benchmark_name);
-                return ascending ? ka < kb : kb < ka;
-            }
-            case sort_key::algorithm:
-            {
-                const auto la = a->label();
-                const auto lb = b->label();
-                return ascending ? la < lb : lb < la;
-            }
-            case sort_key::runtime: return ascending ? a->runtime < b->runtime : b->runtime < a->runtime;
-        }
-        return false;
-    };
-    std::stable_sort(selection.begin(), selection.end(), primary);
-
-    const auto limit = std::min(query.limit, page_query::max_limit);
     const auto first = std::min(query.offset, selection.size());
-    const auto last = std::min(first + limit, selection.size());
-    page.rows.assign(selection.cbegin() + static_cast<std::ptrdiff_t>(first),
-                     selection.cbegin() + static_cast<std::ptrdiff_t>(last));
-    page.ids.reserve(page.rows.size());
-    const auto* base = cat_ref.layouts().data();
-    for (const auto* row : page.rows)
+    const auto last = std::min(first + std::min(query.limit, page_query::max_limit), selection.size());
+    const auto& order = page_orders[2 * static_cast<std::size_t>(query.sort) + static_cast<std::size_t>(query.order)];
+    const auto window = order.window(std::move(selection), first, last);
+    page.rows.reserve(window.size());
+    page.ids.reserve(window.size());
+    page.rendered.reserve(window.size());
+    for (const auto i : window)
     {
-        page.ids.push_back(layout_ids[static_cast<std::size_t>(row - base)]);
+        page.rows.push_back(&record(i));
+        page.ids.push_back(layout_ids[i]);
+        page.rendered.emplace_back(rendered_rows[i]);
     }
     tel::count("query.pages");
     return page;
@@ -735,42 +853,65 @@ const cat::catalog& query_engine::catalog() const noexcept
 
 std::size_t query_engine::num_index_terms() const noexcept
 {
-    return by_set.size() + by_name.size() + by_clocking.size() + by_algorithm.size() + by_optimization.size() +
-           by_family.size() + 2;
-}
-
-json_value page_to_json(const result_page& page)
-{
-    auto document = json_value::make_object();
-    document.set("total", json_value{static_cast<std::uint64_t>(page.total)});
-    document.set("offset", json_value{static_cast<std::uint64_t>(page.offset)});
-    document.set("count", json_value{static_cast<std::uint64_t>(page.rows.size())});
-    auto rows = json_value::make_array();
-    for (std::size_t i = 0; i < page.rows.size(); ++i)
-    {
-        rows.push_back(row_to_json(*page.rows[i], page.ids[i]));
-    }
-    document.set("results", std::move(rows));
-    const auto has_facets = !page.facets.per_set.empty() || !page.facets.per_library.empty() ||
-                            !page.facets.per_clocking.empty() || !page.facets.per_algorithm.empty() ||
-                            !page.facets.per_optimization.empty() || !page.facets.per_family.empty();
-    if (has_facets || page.total == 0)
-    {
-        auto facets = json_value::make_object();
-        facets.set("sets", counts_to_json(page.facets.per_set));
-        facets.set("libraries", counts_to_json(page.facets.per_library));
-        facets.set("clockings", counts_to_json(page.facets.per_clocking));
-        facets.set("algorithms", counts_to_json(page.facets.per_algorithm));
-        facets.set("optimizations", counts_to_json(page.facets.per_optimization));
-        facets.set("families", counts_to_json(page.facets.per_family));
-        document.set("facets", std::move(facets));
-    }
-    return document;
+    return by_name.values.size() + term_base.back();
 }
 
 std::string page_json_string(const result_page& page)
 {
-    return page_to_json(page).dump();
+    if (page.rendered.size() != page.rows.size())
+    {
+        throw precondition_error{"page_json_string: the page's rows were not rendered by a query engine"};
+    }
+    std::string out;
+    std::size_t row_bytes = 0;
+    for (const auto row : page.rendered)
+    {
+        row_bytes += row.size() + 1;
+    }
+    out.reserve(row_bytes + 512);
+
+    out += "{\"total\":";
+    out += json_number_string(static_cast<double>(page.total));
+    out += ",\"offset\":";
+    out += json_number_string(static_cast<double>(page.offset));
+    out += ",\"count\":";
+    out += json_number_string(static_cast<double>(page.rows.size()));
+    out += ",\"results\":[";
+    for (std::size_t i = 0; i < page.rendered.size(); ++i)
+    {
+        if (i > 0)
+        {
+            out.push_back(',');
+        }
+        out += page.rendered[i];
+    }
+    out.push_back(']');
+
+    const auto has_facets = std::any_of(facet_maps.cbegin(), facet_maps.cend(),
+                                        [&](const auto member) { return !(page.facets.*member).empty(); });
+    if (has_facets || page.total == 0)
+    {
+        out += ",\"facets\":{";
+        for (std::size_t f = 0; f < facet_maps.size(); ++f)
+        {
+            out += f == 0 ? "\"" : ",\"";
+            out += facet_names[f];
+            out += "\":{";
+            bool first = true;
+            for (const auto& [value, count] : page.facets.*facet_maps[f])
+            {
+                out += first ? "\"" : ",\"";
+                first = false;
+                out += cat::json_escape(value);
+                out += "\":";
+                out += json_number_string(static_cast<double>(count));
+            }
+            out.push_back('}');
+        }
+        out.push_back('}');
+    }
+    out.push_back('}');
+    return out;
 }
 
 std::vector<page_query> default_page_queries()

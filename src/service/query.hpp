@@ -19,7 +19,13 @@
 ///
 /// A small JSON wire format covers queries (`page_query::from_json`, query
 /// strings via `page_query::from_query_string`) and result pages
-/// (`page_to_json`).
+/// (`page_json_string`).
+///
+/// Everything a page needs that does not depend on the query is computed
+/// once when the engine is built: the record order of every sort key and
+/// direction, integer ids for every facet value, and each row's JSON. A
+/// request then only intersects posting lists, counts into arrays, selects
+/// its window by integer position and concatenates pre-rendered rows.
 
 #include "core/catalog.hpp"
 #include "core/filters.hpp"
@@ -27,7 +33,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -111,6 +116,10 @@ struct result_page
     std::vector<const cat::layout_record*> rows;
     /// Download id of rows[i].
     std::vector<std::string> ids;
+    /// JSON object of rows[i], rendered when the engine was built. These
+    /// views point into the engine, as rows point into its catalog: a page
+    /// must not outlive the engine that ran it.
+    std::vector<std::string_view> rendered;
     /// Facet histograms over ALL matches (empty when not requested).
     cat::facet_counts facets;
 };
@@ -131,7 +140,9 @@ public:
     /// identical to \ref mnt::cat::apply_filter on the same catalog.
     [[nodiscard]] std::vector<const cat::layout_record*> filter(const cat::filter_query& query) const;
 
-    /// Runs the full page pipeline: filter → facets → sort → paginate.
+    /// Runs the full page pipeline: filter → facets → the requested window
+    /// of the precomputed page order. Rows and facets are identical to
+    /// stable-sorting \ref filter's result by the sort key and paginating.
     [[nodiscard]] result_page run(const page_query& query) const;
 
     /// Download id of catalog.layouts()[index].
@@ -149,22 +160,74 @@ public:
 private:
     using posting_list = std::vector<std::uint32_t>;
 
+    /// The distinct values of one string attribute in ascending byte order
+    /// (the order of the cat::facet_counts maps), each with the ascending
+    /// list of the records carrying it. A value's id is its position.
+    struct term_index
+    {
+        std::vector<std::string> values;
+        std::vector<posting_list> postings;
+
+        /// Posting list of \p value (empty when no record carries it).
+        [[nodiscard]] const posting_list& lookup(const std::string& value) const;
+    };
+
+    /// A total order of the records: records[p] is the record at position
+    /// p, and rank[i] is the position of record i.
+    struct record_order
+    {
+        posting_list records;
+        posting_list rank;
+
+        /// Positions [first, last) of this order restricted to \p selection
+        /// (a duplicate-free set of record indexes).
+        [[nodiscard]] posting_list window(posting_list selection, std::size_t first, std::size_t last) const;
+    };
+
+    /// Record indexes matching \p query, ascending.
+    [[nodiscard]] posting_list select(const cat::filter_query& query) const;
+
+    /// Facet histograms over \p selection.
+    [[nodiscard]] cat::facet_counts count_facets(const posting_list& selection) const;
+
     [[nodiscard]] const cat::layout_record& record(std::uint32_t index) const;
 
     const cat::catalog& cat_ref;
     std::vector<std::string> layout_ids;
     std::unordered_map<std::string, std::size_t> id_index;
 
-    std::map<std::string, posting_list> by_set;
-    std::map<std::string, posting_list> by_name;
-    std::map<std::string, posting_list> by_clocking;
-    std::map<std::string, posting_list> by_algorithm;
-    std::map<std::string, posting_list> by_optimization;
-    std::map<std::string, posting_list> by_family;  ///< synthetic families only
-    std::array<posting_list, 2> by_library;         ///< indexed by gate_library_kind
+    /// The facets, in cat::facet_counts member order.
+    enum facet : std::size_t
+    {
+        set,
+        library,
+        clocking,
+        algorithm,
+        optimization,
+        family,  ///< synthetic families only
+        num_facets
+    };
 
-    /// canonical_rank[i] = position of record i in canonical order.
-    std::vector<std::uint32_t> canonical_rank;
+    term_index by_name;
+    std::array<term_index, num_facets> by_facet;
+    /// Record i's facet values are facet_terms[term_begin[i] ..
+    /// term_begin[i + 1]), with value v of facet f numbered term_base[f] + v.
+    /// A repeated optimization tag repeats here, as cat::compute_facets
+    /// counts it twice.
+    std::vector<std::uint32_t> facet_terms;
+    std::vector<std::uint32_t> term_begin;
+    std::array<std::uint32_t, num_facets + 1> term_base{};
+    /// Count of every term over the whole catalog: the facets of a query
+    /// that selects every record.
+    std::vector<std::size_t> catalog_counts;
+
+    /// Canonical order (\ref mnt::cat::canonical_layout_less).
+    record_order canonical;
+    /// Page order of sort key k and direction d at [2 * k + d]: the primary
+    /// key, ties in canonical order.
+    std::array<record_order, 8> page_orders;
+    /// JSON object of each record's result row.
+    std::vector<std::string> rendered_rows;
 };
 
 /// Serializes a result page:
@@ -184,9 +247,9 @@ private:
 /// "family"/"family_seed" appear only on synthetic-family rows.
 ///
 /// The "facets" member is present only when the page carries facets.
-[[nodiscard]] json_value page_to_json(const result_page& page);
-
-/// Convenience: page JSON as a string.
+///
+/// \throws mnt::precondition_error when the page's rows were not rendered
+///         by a query engine (rendered.size() != rows.size())
 [[nodiscard]] std::string page_json_string(const result_page& page);
 
 /// Decodes an URL query string into (key, value) pairs, %XX- and

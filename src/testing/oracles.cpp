@@ -16,7 +16,7 @@
 #include "verification/wave_simulation.hpp"
 
 #include <algorithm>
-#include <set>
+#include <tuple>
 
 namespace mnt::pbt
 {
@@ -479,31 +479,54 @@ oracle_result check_page_consistency(const svc::query_engine& engine, const cat:
                                      const svc::page_query& query)
 {
     const auto page = engine.run(query);
-    const auto all = cat::apply_filter(cat, query.filter);
+    auto reference = cat::apply_filter(cat, query.filter);
 
-    if (page.total != all.size())
+    if (page.total != reference.size())
     {
         return oracle_result::fail("page.total = " + std::to_string(page.total) + ", linear scan finds " +
-                                   std::to_string(all.size()));
+                                   std::to_string(reference.size()));
     }
-
-    const auto limit = std::min(query.limit, svc::page_query::max_limit);
-    const auto expected_rows =
-        query.limit == 0 ? 0 : std::min(limit, page.total - std::min(query.offset, page.total));
-    if (page.rows.size() != expected_rows || page.ids.size() != page.rows.size())
+    if (page.offset != query.offset)
     {
-        return oracle_result::fail("page window wrong: " + std::to_string(page.rows.size()) + " rows for offset " +
-                                   std::to_string(query.offset) + ", limit " + std::to_string(query.limit) +
-                                   ", total " + std::to_string(page.total));
+        return oracle_result::fail("page.offset = " + std::to_string(page.offset) + " for a query offset of " +
+                                   std::to_string(query.offset));
     }
 
-    const std::set<const cat::layout_record*> universe{all.begin(), all.end()};
+    // reference page order: the canonical selection, stably sorted by the
+    // requested key alone (canonical order breaks ties)
+    const auto ascending = query.order == svc::sort_order::ascending;
+    const auto primary = [&](const cat::layout_record* a, const cat::layout_record* b)
+    {
+        if (!ascending)
+        {
+            std::swap(a, b);
+        }
+        switch (query.sort)
+        {
+            case svc::sort_key::area: return a->area < b->area;
+            case svc::sort_key::benchmark:
+                return std::tie(a->benchmark_set, a->benchmark_name) < std::tie(b->benchmark_set, b->benchmark_name);
+            case svc::sort_key::algorithm: return a->label() < b->label();
+            case svc::sort_key::runtime: return a->runtime < b->runtime;
+        }
+        return false;
+    };
+    std::stable_sort(reference.begin(), reference.end(), primary);
+    const auto first = std::min(query.offset, reference.size());
+    const auto last = std::min(first + std::min(query.limit, svc::page_query::max_limit), reference.size());
+    const std::vector<const cat::layout_record*> window{reference.cbegin() + static_cast<std::ptrdiff_t>(first),
+                                                        reference.cbegin() + static_cast<std::ptrdiff_t>(last)};
+    if (page.rows != window)
+    {
+        return oracle_result::fail("page rows differ from the reference window [" + std::to_string(first) + ", " +
+                                   std::to_string(last) + ") of " + std::to_string(reference.size()));
+    }
+    if (page.ids.size() != page.rows.size() || page.rendered.size() != page.rows.size())
+    {
+        return oracle_result::fail("page ids or rendered rows misaligned with its rows");
+    }
     for (std::size_t i = 0; i < page.rows.size(); ++i)
     {
-        if (universe.find(page.rows[i]) == universe.end())
-        {
-            return oracle_result::fail("page row " + std::to_string(i) + " is not in the filter result");
-        }
         const auto index = static_cast<std::size_t>(page.rows[i] - cat.layouts().data());
         if (page.ids[i] != engine.id_of(index) || engine.index_of(page.ids[i]) != index)
         {
@@ -511,45 +534,42 @@ oracle_result check_page_consistency(const svc::query_engine& engine, const cat:
         }
     }
 
-    // requested sort key is monotonic across the page
-    const auto ascending = query.order == svc::sort_order::ascending;
-    for (std::size_t i = 1; i < page.rows.size(); ++i)
+    const auto expected = query.include_facets ? cat::compute_facets(reference) : cat::facet_counts{};
+    if (page.facets.per_set != expected.per_set || page.facets.per_library != expected.per_library ||
+        page.facets.per_clocking != expected.per_clocking || page.facets.per_algorithm != expected.per_algorithm ||
+        page.facets.per_optimization != expected.per_optimization || page.facets.per_family != expected.per_family)
     {
-        const auto *a = page.rows[i - 1], *b = page.rows[i];
-        bool ordered = true;
-        switch (query.sort)
-        {
-            case svc::sort_key::area: ordered = ascending ? a->area <= b->area : a->area >= b->area; break;
-            case svc::sort_key::runtime:
-                ordered = ascending ? a->runtime <= b->runtime : a->runtime >= b->runtime;
-                break;
-            case svc::sort_key::benchmark:
-            {
-                const auto ka = a->benchmark_set + "\x1f" + a->benchmark_name;
-                const auto kb = b->benchmark_set + "\x1f" + b->benchmark_name;
-                ordered = ascending ? ka <= kb : ka >= kb;
-                break;
-            }
-            case svc::sort_key::algorithm:
-                ordered = ascending ? a->label() <= b->label() : a->label() >= b->label();
-                break;
-        }
-        if (!ordered)
-        {
-            return oracle_result::fail("page not sorted by the requested key at row " + std::to_string(i));
-        }
+        return oracle_result::fail("facet histograms disagree with the linear scan");
     }
 
-    if (query.include_facets)
+    // the rendered bytes are the writer's canonical form of themselves (for
+    // catalogs of valid UTF-8), and each row renders its own record
+    const auto body = svc::page_json_string(page);
+    try
     {
-        const auto expected = cat::compute_facets(all);
-        if (page.facets.per_set != expected.per_set || page.facets.per_library != expected.per_library ||
-            page.facets.per_clocking != expected.per_clocking ||
-            page.facets.per_algorithm != expected.per_algorithm ||
-            page.facets.per_optimization != expected.per_optimization)
+        const auto document = svc::json_value::parse(body);
+        if (document.dump() != body)
         {
-            return oracle_result::fail("facet histograms disagree with the linear scan");
+            return oracle_result::fail("page body is not a JSON dump fixpoint");
         }
+        const auto& results = document.at("results").as_array();
+        if (results.size() != page.rows.size())
+        {
+            return oracle_result::fail("page body has " + std::to_string(results.size()) + " results for " +
+                                       std::to_string(page.rows.size()) + " rows");
+        }
+        for (std::size_t i = 0; i < results.size(); ++i)
+        {
+            if (results[i].at("id").as_string() != page.ids[i] ||
+                results[i].at("label").as_string() != page.rows[i]->label())
+            {
+                return oracle_result::fail("rendered row " + std::to_string(i) + " is not its record");
+            }
+        }
+    }
+    catch (const mnt_error& e)
+    {
+        return oracle_result::fail(std::string{"page body does not parse: "} + e.what());
     }
     return oracle_result::pass();
 }

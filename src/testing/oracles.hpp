@@ -129,7 +129,9 @@ struct oracle_result
                                                const cat::filter_query& query);
 
 /// query_engine::run is consistent with a linear-scan re-derivation: total,
-/// rows window, facet histograms, and id alignment.
+/// the exact [offset, offset + limit) window of apply_filter stably sorted by
+/// the requested key, all six facet histograms, id alignment, and a rendered
+/// body that parses and dumps back to the same bytes.
 [[nodiscard]] oracle_result check_page_consistency(const svc::query_engine& engine, const cat::catalog& cat,
                                                    const svc::page_query& query);
 

@@ -8,6 +8,7 @@
 
 #include "proptest_gtest.hpp"
 
+#include "benchmarks/families.hpp"
 #include "common/resilience.hpp"
 #include "core/catalog.hpp"
 #include "core/filters.hpp"
@@ -39,7 +40,9 @@ using namespace mnt;
 // --------------------------------------------------------- catalog fixture
 
 /// A catalog of 30 distinct small layouts with metadata spread over every
-/// facet dimension, plus the engine indexing it. Built once per process.
+/// facet dimension, 6 rows of the `aoi` reference family (so rows carry
+/// family fields and the family facet fills), plus the engine indexing it.
+/// Built once per process.
 struct service_fixture
 {
     cat::catalog catalog;
@@ -76,6 +79,22 @@ const service_fixture& fixture()
             record.layout = pd::ortho(network);
             f.catalog.add_layout(std::move(record));
         }
+        const auto family = *bm::find_reference_family("aoi");
+        for (std::size_t i = 0; i < 6; ++i)
+        {
+            cat::layout_record record{};
+            record.benchmark_set = bm::family_set_name(family);
+            record.benchmark_name = bm::family_function_name(i / 2);
+            record.library = i % 2 == 0 ? cat::gate_library_kind::qca_one : cat::gate_library_kind::bestagon;
+            record.algorithm = algorithms[i % algorithms.size()];
+            record.optimizations = optimization_sets[i % optimization_sets.size()];
+            record.runtime = 0.02 * static_cast<double>(i % 4);  // ties with the curated rows
+            record.family = bm::family_id(family);
+            record.family_seed = bm::family_function_seed(family, i / 2);
+            record.layout = pd::ortho(bm::family_network(family, i));
+            record.clocking = record.layout.clocking().name();
+            f.catalog.add_layout(std::move(record));
+        }
         f.engine = std::make_unique<svc::query_engine>(f.catalog);
         return f;
     }();
@@ -83,6 +102,14 @@ const service_fixture& fixture()
 }
 
 // ----------------------------------------------------------- query inputs
+
+/// The fixture's family id and one that matches nothing.
+const std::vector<std::string>& families()
+{
+    static const std::vector<std::string> ids{bm::family_id(*bm::find_reference_family("aoi")),
+                                              "0000000000000000000000000000dead"};
+    return ids;
+}
 
 cat::filter_query random_filter(pbt::rng& random)
 {
@@ -120,6 +147,10 @@ cat::filter_query random_filter(pbt::rng& random)
     {
         query.required_optimizations.push_back(random.pick(optimizations));
     }
+    if (random.chance(1, 4))
+    {
+        query.families.push_back(random.pick(families()));
+    }
     query.best_only = random.chance(1, 4);
     return query;
 }
@@ -151,11 +182,22 @@ std::string show_filter(const cat::filter_query& query)
     {
         out += " opt=" + o;
     }
+    for (const auto& family : query.families)
+    {
+        out += " family=" + family;
+    }
     if (query.best_only)
     {
         out += " best";
     }
     return out + " }";
+}
+
+std::string show_page_query(const svc::page_query& query)
+{
+    return show_filter(query.filter) + " sort=" + svc::sort_key_name(query.sort) +
+           (query.order == svc::sort_order::descending ? " desc" : " asc") + " offset=" + std::to_string(query.offset) +
+           " limit=" + std::to_string(query.limit) + (query.include_facets ? " facets" : "");
 }
 
 TEST(QueryEngine, FilterMatchesLinearScan)
@@ -193,14 +235,43 @@ TEST(QueryEngine, PagesAreConsistentWithRederivation)
     };
     prop.check = [&f](const svc::page_query& query, const res::deadline_clock&)
     { return pbt::check_page_consistency(*f.engine, f.catalog, query); };
-    prop.show = [](const svc::page_query& query)
-    {
-        return show_filter(query.filter) + " sort=" + svc::sort_key_name(query.sort) +
-               (query.order == svc::sort_order::descending ? " desc" : " asc") +
-               " offset=" + std::to_string(query.offset) + " limit=" + std::to_string(query.limit) +
-               (query.include_facets ? " facets" : "");
-    };
+    prop.show = show_page_query;
     MNT_RUN_PROPERTY(config, prop);
+}
+
+TEST(QueryEngine, PagesAreConsistentForEverySortKeyAndEdgeCase)
+{
+    // the random suite samples these; this sweep guarantees every sort key x
+    // order meets best_only, limit=0, facets off and offsets past the end
+    const auto& f = fixture();
+    for (const auto key :
+         {svc::sort_key::area, svc::sort_key::benchmark, svc::sort_key::algorithm, svc::sort_key::runtime})
+    {
+        for (const auto order : {svc::sort_order::ascending, svc::sort_order::descending})
+        {
+            for (const bool best_only : {false, true})
+            {
+                for (const std::size_t limit : {0, 1, 7, 600})
+                {
+                    for (const std::size_t offset : {0, 5, 35, 36, 1000})
+                    {
+                        for (const bool include_facets : {true, false})
+                        {
+                            svc::page_query query{};
+                            query.filter.best_only = best_only;
+                            query.sort = key;
+                            query.order = order;
+                            query.offset = offset;
+                            query.limit = limit;
+                            query.include_facets = include_facets;
+                            const auto result = pbt::check_page_consistency(*f.engine, f.catalog, query);
+                            EXPECT_TRUE(result.passed) << show_page_query(query) << ": " << result.reason;
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Store, RoundTripsArbitraryNetworksByteIdentically)

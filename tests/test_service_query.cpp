@@ -1,13 +1,16 @@
 #include "service/query.hpp"
 
+#include "benchmarks/families.hpp"
 #include "core/filters.hpp"
 #include "layout/clocking_scheme.hpp"
 #include "layout/gate_level_layout.hpp"
+#include "service/hash.hpp"
 #include "service/json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -100,6 +103,49 @@ cat::filter_query make_random_filter(std::mt19937& rng)
     }
     query.best_only = (rng() % 4 == 0);
     return query;
+}
+
+/// A small catalog of the `aoi` reference family (two libraries per
+/// function) plus one curated row, so rendered pages carry the family fields
+/// and the family facet. Blank layouts keep the pages independent of any
+/// placement algorithm.
+cat::catalog make_family_catalog()
+{
+    static const std::vector<std::string> algorithms{"ortho", "NPR", "exact"};
+    const auto spec = *bm::find_reference_family("aoi");
+
+    cat::catalog catalog;
+    for (std::uint32_t i = 0; i < 12; ++i)
+    {
+        cat::layout_record record{};
+        record.benchmark_set = bm::family_set_name(spec);
+        record.benchmark_name = bm::family_function_name(i / 2);
+        record.library = i % 2 == 0 ? cat::gate_library_kind::qca_one : cat::gate_library_kind::bestagon;
+        record.algorithm = algorithms[i % algorithms.size()];
+        if (i % 4 == 1)
+        {
+            record.optimizations = {"PLO"};
+        }
+        record.runtime = 0.125 * static_cast<double>(i % 5);
+        record.family = bm::family_id(spec);
+        record.family_seed = bm::family_function_seed(spec, i / 2);
+        record.layout = lyt::gate_level_layout{
+            "aoi" + std::to_string(i), lyt::layout_topology::cartesian,
+            lyt::clocking_scheme::create(i % 3 == 0 ? lyt::clocking_kind::use : lyt::clocking_kind::twoddwave),
+            2 + i % 3, 1 + i % 4};
+        record.clocking = record.layout.clocking().name();
+        catalog.add_layout(std::move(record));
+    }
+    cat::layout_record curated{};
+    curated.benchmark_set = "Trindade16";
+    curated.benchmark_name = "2:1 MUX";
+    curated.algorithm = "exact";
+    curated.runtime = 0.5;
+    curated.layout = lyt::gate_level_layout{"mux", lyt::layout_topology::cartesian,
+                                            lyt::clocking_scheme::create(lyt::clocking_kind::twoddwave), 3, 3};
+    curated.clocking = curated.layout.clocking().name();
+    catalog.add_layout(std::move(curated));
+    return catalog;
 }
 
 }  // namespace
@@ -274,6 +320,20 @@ TEST(PageQueryTest, FromQueryStringRejectsUnknownAndMalformed)
     EXPECT_THROW(static_cast<void>(page_query::from_query_string("set=%2")), mnt_error);
 }
 
+TEST(PageQueryTest, FromQueryStringAcceptsOnlyDecimalSizes)
+{
+    // what the JSON body's as_u64 rejects, the query string rejects too
+    for (const auto* bad : {"offset=-1", "limit=-5", "offset=99999999999999999999999", "offset=+3", "offset=%203",
+                            "offset=3%20", "offset=", "limit=0x10", "limit=1e3", "offset=3.0"})
+    {
+        EXPECT_THROW(static_cast<void>(page_query::from_query_string(bad)), mnt_error) << bad;
+    }
+    EXPECT_EQ(page_query::from_query_string("offset=007").offset, 7u);
+    EXPECT_EQ(page_query::from_query_string("offset=18446744073709551615").offset,
+              std::numeric_limits<std::size_t>::max());
+    EXPECT_EQ(page_query::from_query_string("limit=0").limit, 0u);
+}
+
 TEST(PageQueryTest, FromJsonParsesAndRejectsUnknownMembers)
 {
     const auto query = page_query::from_json(json_value::parse(
@@ -326,7 +386,7 @@ TEST(PageQueryTest, CacheKeyNormalizesEquivalentQueries)
 
 // ----------------------------------------------------------- wire format out
 
-TEST(PageToJsonTest, EmitsDocumentedShape)
+TEST(PageJsonStringTest, EmitsDocumentedShape)
 {
     const auto catalog = make_random_catalog(17u, 25);
     const query_engine engine{catalog};
@@ -352,4 +412,66 @@ TEST(PageToJsonTest, EmitsDocumentedShape)
     query.include_facets = false;
     const auto bare = json_value::parse(page_json_string(engine.run(query)));
     EXPECT_EQ(bare.find("facets"), nullptr);
+
+    // rows the engine did not render are refused, not read out of bounds
+    auto unrendered = engine.run(query);
+    unrendered.rendered.clear();
+    EXPECT_THROW(static_cast<void>(page_json_string(unrendered)), precondition_error);
+}
+
+// ------------------------------------------------------- golden page bytes
+
+/// content_hash of rendered page bodies, pinned so any change to the bytes
+/// a page renders to (row fields, number formatting, escaping, sort
+/// tie-breaks, facet blocks) fails here, not only in a self-comparison.
+TEST(PageJsonStringTest, PageBodiesMatchPinnedHashes)
+{
+    struct golden_page
+    {
+        bool family_catalog;
+        const char* query;
+        const char* hash;
+    };
+    static const golden_page goldens[] = {
+        // random catalog: "45°" needs escaping, runtimes are fractional
+        {false, "sort=area&offset=7&limit=20", "22c5f397c90fad13573c1d510877d887"},
+        {false, "sort=area&order=desc&offset=7&limit=20", "adbba3c3048406c8acb067a076c23ffd"},
+        {false, "sort=benchmark&offset=7&limit=20", "aefbab542e147895fb23cce86249ed09"},
+        {false, "sort=benchmark&order=desc&offset=7&limit=20", "395afcbe1a63f6448868892644465930"},
+        {false, "sort=algorithm&offset=7&limit=20", "a332ec16d0f340bb6719db7bb73f0a25"},
+        {false, "sort=algorithm&order=desc&offset=7&limit=20", "e0cfa30316ec2fe65cf6d086866aec31"},
+        {false, "sort=runtime&offset=7&limit=20", "324127ff6b0e1e99c7bca062881e80c2"},
+        {false, "sort=runtime&order=desc&offset=7&limit=20", "5fb8bc75c53de8f9bc8eff90617b5d53"},
+        {false, "library=Bestagon&clocking=USE,RES&opt=45%C2%B0&sort=algorithm&order=desc",
+         "f3675a3bb01ed7908adc7ce605938eda"},
+        {false, "best=1&sort=runtime", "288583598322ed24564ae1e0547d5e4e"},
+        {false, "limit=0", "9cfb8deac83ebf9a9824a253ab623510"},
+        {false, "limit=0&facets=0", "56663a9e8dc0a336315bcc64eff08863"},
+        {false, "offset=1000", "5172a626326d52ebb06ebfee743af6f4"},
+        {false, "set=absent", "c5bcc60dd3b45919d8cbb269d80b8cdf"},
+        {false, "facets=0&sort=area&order=desc&limit=500", "5baf6f500b6208bcbb3b773c39aa960f"},
+        // aoi family catalog: rows carry "family" and "family_seed"
+        {true, "", "330296a1348287abe1f8a50f5b872144"},
+        {true, "sort=area&order=desc", "9bdc02c35be482e26472cce4be270156"},
+        {true, "sort=benchmark", "7b3e382e26b72f0e93c3cdda3ebbc1e6"},
+        {true, "sort=benchmark&order=desc", "e264817d46da81e473d58a6c0b924208"},
+        {true, "sort=algorithm", "e06a50f412ff71b9303db1d5970c52db"},
+        {true, "sort=algorithm&order=desc", "fb02d6f0cd7063fe1f9b7db9a9d0ced9"},
+        {true, "sort=runtime", "591a36948984e9156c2f34e4e79b6be6"},
+        {true, "sort=runtime&order=desc&offset=3&limit=4", "8ad5a6c90ff01b904b5088533f9ad92a"},
+        {true, "family=6682375c4d18b48833afe8ba6ddaa50e&library=QCA%20ONE&sort=runtime",
+         "ac65d95d505ed6055d93bb600228976f"},
+        {true, "best=1&facets=0", "153c4b8697565f451fbfc53f1b324fe3"},
+    };
+
+    const auto random_catalog = make_random_catalog(31u, 120);
+    const auto family_catalog = make_family_catalog();
+    const query_engine random_engine{random_catalog};
+    const query_engine family_engine{family_catalog};
+    for (const auto& golden : goldens)
+    {
+        const auto& engine = golden.family_catalog ? family_engine : random_engine;
+        const auto body = page_json_string(engine.run(page_query::from_query_string(golden.query)));
+        EXPECT_EQ(content_hash(body), golden.hash) << (golden.family_catalog ? "family " : "random ") << golden.query;
+    }
 }

@@ -389,6 +389,7 @@ TEST_F(server_fixture, HandleRoutesWithoutSockets)
     const auto bad_query = server.handle({"GET", "/layouts", "library=cmos", ""});
     EXPECT_EQ(bad_query.status, 400);
     EXPECT_NE(json_value::parse(bad_query.body).at("error").at("message").as_string(), "");
+    EXPECT_EQ(server.handle({"GET", "/layouts", "offset=-1", ""}).status, 400);
 }
 
 TEST_F(server_fixture, HandleHonorsExpiredDeadline)

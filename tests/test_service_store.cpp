@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
@@ -93,6 +95,33 @@ TEST(ServiceJsonTest, RoundTripsThroughDump)
     EXPECT_DOUBLE_EQ(again.at("n").as_number(), 1.5);
     EXPECT_EQ(again.at("i").as_u64(), 42u);
     EXPECT_EQ(again.dump(), v.dump());  // dump is deterministic
+}
+
+TEST(ServiceJsonTest, IntegralNumbersPrintAsPrintfDoes)
+{
+    // integral values below 1e15 print their digits exactly as "%.0f" does,
+    // negative zero included; from 1e15 on the shortest round-trip form
+    const auto printf_digits = [](const double value)
+    {
+        char buffer[32];
+        std::snprintf(buffer, sizeof buffer, "%.0f", value);
+        return std::string{buffer};
+    };
+    std::vector<double> values{0.0, -0.0, 1.0, -1.0, 42.0, 9007199254740992.0, -9007199254740992.0,
+                               999999999999999.0, -999999999999999.0};
+    std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+    for (int i = 0; i < 1000; ++i)
+    {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        const auto magnitude = static_cast<double>((state >> 14U) % 1'000'000'000'000'000ULL);
+        values.push_back(i % 2 == 0 ? magnitude : -magnitude);
+    }
+    for (const auto value : values)
+    {
+        EXPECT_EQ(json_number_string(value), printf_digits(value)) << value;
+    }
+    EXPECT_EQ(json_number_string(1e15), "1e+15");
+    EXPECT_EQ(json_number_string(0.5), "0.5");
 }
 
 TEST(ServiceJsonTest, DecodesSurrogatePairs)
