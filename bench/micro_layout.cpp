@@ -142,25 +142,43 @@ BENCHMARK(layout_probe)->Arg(16)->Arg(48)->Arg(96)->Unit(benchmark::kMicrosecond
 
 // ------------------------------------------------------------------- route
 
-/// Route/rip cycles across a partially filled grid: the annealing placer's
-/// inner loop (find_path + establish_path + rip_up_path).
-void layout_route_rip(benchmark::State& state)
+/// Route/rip cycles on an empty side x side grid: the annealing placer's
+/// inner loop (find_path + establish_path + rip_up_path) from the north-west
+/// corner to \p dst.
+void route_rip_cycles(benchmark::State& state, const lyt::layout_topology topo, const lyt::clocking_scheme& scheme,
+                      const coordinate& dst)
 {
-    const auto side = static_cast<std::int32_t>(state.range(0));
+    const auto side = static_cast<std::uint32_t>(state.range(0));
     for (auto _ : state)
     {
-        gate_level_layout layout{"r", lyt::layout_topology::cartesian, lyt::clocking_scheme::twoddwave(),
-                                 static_cast<std::uint32_t>(side), static_cast<std::uint32_t>(side)};
+        gate_level_layout layout{"r", topo, scheme, side, side};
         layout.place({0, 0}, ntk::gate_type::pi, "a");
-        layout.place({side - 1, side - 1}, ntk::gate_type::po, "y");
+        layout.place(dst, ntk::gate_type::po, "y");
         for (int repeat = 0; repeat < 8; ++repeat)
         {
-            benchmark::DoNotOptimize(lyt::route(layout, {0, 0}, {side - 1, side - 1}));
-            lyt::rip_up_path(layout, {0, 0}, {side - 1, side - 1});
+            benchmark::DoNotOptimize(lyt::route(layout, {0, 0}, dst));
+            lyt::rip_up_path(layout, {0, 0}, dst);
         }
     }
 }
+
+/// Cartesian 2DDWave (the QCA ONE half of Table I), corner to corner.
+void layout_route_rip(benchmark::State& state)
+{
+    const auto last = static_cast<std::int32_t>(state.range(0)) - 1;
+    route_rip_cycles(state, lyt::layout_topology::cartesian, lyt::clocking_scheme::twoddwave(), {last, last});
+}
 BENCHMARK(layout_route_rip)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
+
+/// Hexagonal ROW (the Bestagon half of Table I): every step goes one row
+/// south and at most half a column east, so the target is the farthest
+/// tile of the last row that the source can reach.
+void layout_route_rip_hex(benchmark::State& state)
+{
+    const auto last = static_cast<std::int32_t>(state.range(0)) - 1;
+    route_rip_cycles(state, lyt::layout_topology::hexagonal_even_row, lyt::clocking_scheme::row(), {last / 2, last});
+}
+BENCHMARK(layout_route_rip_hex)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 // ----------------------------------------------------------- verification
 

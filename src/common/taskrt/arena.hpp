@@ -3,7 +3,7 @@
 /// \file arena.hpp
 /// \brief Per-thread scratch arenas: bump-pointer allocation for the short-
 ///        lived, trivially-destructible temporaries the physical-design hot
-///        loops churn through (candidate tile lists, probe buffers).
+///        loops churn through (candidate tile lists, routing search tables).
 ///
 /// Usage pattern is strictly LIFO and region-scoped:
 ///
@@ -16,12 +16,14 @@
 /// }                                               // region rewinds the arena
 /// \endcode
 ///
-/// The arena never returns memory to the OS while alive — blocks are reused
-/// across regions — so steady-state hot loops allocate nothing. Because
-/// rewinding does not run destructors, scratch_buffer is restricted to
-/// trivially copyable + trivially destructible element types at compile
-/// time. Each thread gets its own arena (thread_local), so there is no
-/// locking anywhere on this path.
+/// The arena keeps its blocks while alive — they are reused across regions,
+/// and a spare block too small for a request is swapped for a larger one —
+/// so steady-state hot loops allocate nothing, and a thread holds about its
+/// largest working set. Because rewinding does not run destructors,
+/// scratch_buffer and allocate_array are restricted to trivially copyable +
+/// trivially destructible element types at compile time. Each thread gets
+/// its own arena (thread_local), so there is no locking anywhere on this
+/// path.
 
 #include <cstddef>
 #include <cstdint>
@@ -61,6 +63,16 @@ class scratch_arena
             }
         }
         return allocate_slow(bytes, align);
+    }
+
+    /// Uninitialized storage for \p n objects of the trivial type \p T,
+    /// valid until the arena rewinds past this allocation.
+    template <typename T>
+    [[nodiscard]] T* allocate_array(const std::size_t n)
+    {
+        static_assert(std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>,
+                      "arena arrays are never constructed or destroyed");
+        return static_cast<T*>(allocate(n * sizeof(T), alignof(T)));
     }
 
     struct marker
@@ -118,32 +130,34 @@ class scratch_arena
 
     void* allocate_slow(std::size_t bytes, std::size_t align)
     {
-        // advance to (or allocate) a block that fits; oversized requests get
-        // a dedicated block of exactly the needed size
-        while (true)
+        // move on to the next block. Blocks past the cursor hold no live
+        // allocations (regions rewind LIFO), so a spare block too small for
+        // the request is replaced rather than skipped: the arena keeps its
+        // largest requests, not one block per size it has ever seen.
+        // Oversized requests get a block of exactly the needed size.
+        if (block_index < blocks.size())
         {
-            if (block_index < blocks.size())
+            ++block_index;
+        }
+        if (block_index == blocks.size() || blocks[block_index].size < bytes)
+        {
+            const auto sz = bytes + align > block_size ? bytes + align : block_size;
+            auto fresh = block{std::make_unique<std::byte[]>(sz), sz};
+            if (block_index == blocks.size())
             {
-                ++block_index;
+                blocks.push_back(std::move(fresh));
             }
-            if (block_index >= blocks.size())
+            else
             {
-                const auto sz = bytes + align > block_size ? bytes + align : block_size;
-                blocks.push_back(block{std::make_unique<std::byte[]>(sz), sz});
-                block_index = blocks.size() - 1;
-            }
-            offset             = 0;
-            const auto aligned = align_up(offset, align);
-            if (aligned + bytes <= blocks[block_index].size)
-            {
-                offset = aligned + bytes;
-                if (total_in_use() > high_water)
-                {
-                    high_water = total_in_use();
-                }
-                return blocks[block_index].data.get() + aligned;
+                blocks[block_index] = std::move(fresh);
             }
         }
+        offset = bytes;
+        if (total_in_use() > high_water)
+        {
+            high_water = total_in_use();
+        }
+        return blocks[block_index].data.get();
     }
 
     std::vector<block> blocks{};

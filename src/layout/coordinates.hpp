@@ -14,10 +14,10 @@
 ///   even-row offset coordinates with 6-neighborhood (used with the Bestagon
 ///   SiDB gate library).
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 namespace mnt::lyt
 {
@@ -103,10 +103,92 @@ struct coordinate_hash
     }
 };
 
+/// A list of at most \p Capacity coordinates stored inline, without heap
+/// memory. The neighbor queries return one (a tile has at most six planar
+/// neighbors), and every tile of a gate-level layout keeps its fanout in
+/// one. Callers iterate, index, and ask for the size; pushing beyond
+/// \p Capacity is a precondition violation.
+template <std::size_t Capacity>
+class coordinate_list
+{
+public:
+    constexpr void push_back(const coordinate& c) noexcept
+    {
+        items[count++] = c;
+    }
+
+    /// Removes the first occurrence of \p c, keeping the order of the rest;
+    /// no-op if \p c is absent.
+    constexpr void erase(const coordinate& c) noexcept
+    {
+        for (std::uint8_t i = 0; i < count; ++i)
+        {
+            if (items[i] == c)
+            {
+                for (std::uint8_t j = i; j + 1 < count; ++j)
+                {
+                    items[j] = items[j + 1];
+                }
+                --count;
+                return;
+            }
+        }
+    }
+
+    constexpr void clear() noexcept
+    {
+        count = 0;
+    }
+
+    [[nodiscard]] constexpr std::size_t size() const noexcept
+    {
+        return count;
+    }
+    [[nodiscard]] constexpr bool empty() const noexcept
+    {
+        return count == 0;
+    }
+
+    [[nodiscard]] constexpr const coordinate& operator[](const std::size_t i) const noexcept
+    {
+        return items[i];
+    }
+
+    [[nodiscard]] constexpr const coordinate* data() const noexcept
+    {
+        return items.data();
+    }
+    [[nodiscard]] constexpr coordinate* begin() noexcept
+    {
+        return items.data();
+    }
+    [[nodiscard]] constexpr coordinate* end() noexcept
+    {
+        return items.data() + count;
+    }
+    [[nodiscard]] constexpr const coordinate* begin() const noexcept
+    {
+        return items.data();
+    }
+    [[nodiscard]] constexpr const coordinate* end() const noexcept
+    {
+        return items.data() + count;
+    }
+
+private:
+    std::array<coordinate, Capacity> items{};
+    std::uint8_t count{0};
+};
+
+/// The planar neighbors of one tile.
+using neighbor_list = coordinate_list<6>;
+
 /// All planar (same-z) neighbors of \p c under topology \p topo, without any
-/// bounds checking. Cartesian: E, S, W, N. Hexagonal: the six offset
-/// neighbors.
-[[nodiscard]] std::vector<coordinate> planar_neighbors(const coordinate& c, layout_topology topo);
+/// bounds checking, in a fixed order that routing tie-breaks depend on.
+/// Cartesian: E, S, W, N. Hexagonal, even row: (x+1, y), (x-1, y),
+/// (x-1, y-1), (x, y-1), (x-1, y+1), (x, y+1); odd row: (x+1, y), (x-1, y),
+/// (x, y-1), (x+1, y-1), (x, y+1), (x+1, y+1).
+[[nodiscard]] neighbor_list planar_neighbors(const coordinate& c, layout_topology topo);
 
 /// True if \p a and \p b occupy planar-adjacent grid positions (z ignored).
 [[nodiscard]] bool are_adjacent(const coordinate& a, const coordinate& b, layout_topology topo);

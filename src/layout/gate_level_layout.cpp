@@ -226,9 +226,9 @@ void gate_level_layout::shrink_to_fit()
                     {
                         in = shift(in);
                     }
-                    for (std::uint8_t i = 0; i < slot.out_count; ++i)
+                    for (auto& out : slot.outs)
                     {
-                        slot.outs[i] = shift(slot.outs[i]);
+                        out = shift(out);
                     }
                     remapped[(static_cast<std::size_t>(to.z) * new_h + static_cast<std::size_t>(to.y)) * new_w +
                              static_cast<std::size_t>(to.x)] = std::move(slot);
@@ -334,29 +334,13 @@ void gate_level_layout::connect(const coordinate& src, const coordinate& dst)
         throw precondition_error{"connect: all fanin slots of " + dst.to_string() + " are taken"};
     }
     auto& src_slot = slot_at(src);
-    if (src_slot.out_count >= max_fanout)
+    if (src_slot.outs.size() >= max_fanout)
     {
         throw precondition_error{"connect: fanout capacity (" + std::to_string(max_fanout) + ") of " +
                                  src.to_string() + " is exhausted"};
     }
     d.incoming.push_back(src);
-    src_slot.outs[src_slot.out_count++] = dst;
-}
-
-void gate_level_layout::erase_outgoing(grid_slot& slot, const coordinate& dst) noexcept
-{
-    for (std::uint8_t i = 0; i < slot.out_count; ++i)
-    {
-        if (slot.outs[i] == dst)
-        {
-            for (std::uint8_t j = i; j + 1 < slot.out_count; ++j)
-            {
-                slot.outs[j] = slot.outs[j + 1];
-            }
-            --slot.out_count;
-            return;
-        }
-    }
+    src_slot.outs.push_back(dst);
 }
 
 void gate_level_layout::disconnect(const coordinate& src, const coordinate& dst)
@@ -372,7 +356,7 @@ void gate_level_layout::disconnect(const coordinate& src, const coordinate& dst)
     }
     if (within_bounds(src))
     {
-        erase_outgoing(slot_at(src), dst);
+        slot_at(src).outs.erase(dst);
     }
 }
 
@@ -406,7 +390,7 @@ void gate_level_layout::clear_tile(const coordinate& c)
         disconnect(src, c);
     }
     // sever outgoing connections
-    while (slot.out_count > 0)
+    while (!slot.outs.empty())
     {
         disconnect(c, slot.outs[0]);
     }
@@ -446,9 +430,9 @@ void gate_level_layout::move_tile(const coordinate& from, const coordinate& to)
     }
 
     // patch fanin lists of successors
-    for (std::uint8_t i = 0; i < src_slot.out_count; ++i)
+    for (const auto& out : src_slot.outs)
     {
-        auto& in = slot_at(src_slot.outs[i]).data.incoming;
+        auto& in = slot_at(out).data.incoming;
         std::replace(in.begin(), in.end(), from, to);
     }
     // patch outgoing lists of predecessors
@@ -457,22 +441,15 @@ void gate_level_layout::move_tile(const coordinate& from, const coordinate& to)
         if (within_bounds(src))
         {
             auto& pred = slot_at(src);
-            for (std::uint8_t i = 0; i < pred.out_count; ++i)
-            {
-                if (pred.outs[i] == from)
-                {
-                    pred.outs[i] = to;
-                }
-            }
+            std::replace(pred.outs.begin(), pred.outs.end(), from, to);
         }
     }
 
     auto& dst_slot = slot_at(to);
     dst_slot.data = std::move(src_slot.data);
     dst_slot.outs = src_slot.outs;
-    dst_slot.out_count = src_slot.out_count;
     src_slot.data = tile_data{};
-    src_slot.out_count = 0;
+    src_slot.outs.clear();
 
     const auto t = dst_slot.data.type;
     if (t == ntk::gate_type::pi)
@@ -519,7 +496,7 @@ std::span<const coordinate> gate_level_layout::outgoing_of(const coordinate& c) 
         return {};
     }
     const auto& slot = slot_at(c);
-    return {slot.outs.data(), slot.out_count};
+    return {slot.outs.data(), slot.outs.size()};
 }
 
 const std::vector<coordinate>& gate_level_layout::pi_tiles() const noexcept
@@ -580,9 +557,9 @@ std::uint8_t gate_level_layout::clock_number(const coordinate& c) const
     return scheme.clock_number(c);
 }
 
-std::vector<coordinate> gate_level_layout::outgoing_clocked(const coordinate& c) const
+neighbor_list gate_level_layout::outgoing_clocked(const coordinate& c) const
 {
-    std::vector<coordinate> result;
+    neighbor_list result;
     for (const auto& n : planar_neighbors(c.ground(), topo))
     {
         if (within_bounds(n) && scheme.is_incoming_clocked(n, c))
@@ -593,9 +570,9 @@ std::vector<coordinate> gate_level_layout::outgoing_clocked(const coordinate& c)
     return result;
 }
 
-std::vector<coordinate> gate_level_layout::incoming_clocked(const coordinate& c) const
+neighbor_list gate_level_layout::incoming_clocked(const coordinate& c) const
 {
-    std::vector<coordinate> result;
+    neighbor_list result;
     for (const auto& n : planar_neighbors(c.ground(), topo))
     {
         if (within_bounds(n) && scheme.is_incoming_clocked(c, n))

@@ -27,7 +27,6 @@
 #include "layout/coordinates.hpp"
 #include "network/gate_type.hpp"
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -187,12 +186,14 @@ public:
     [[nodiscard]] std::uint8_t clock_number(const coordinate& c) const;
 
     /// In-bounds planar neighbors of \p c that may *receive* information
-    /// from it (zone + 1), as ground-layer coordinates.
-    [[nodiscard]] std::vector<coordinate> outgoing_clocked(const coordinate& c) const;
+    /// from it (zone + 1), as ground-layer coordinates, in the order of
+    /// \ref planar_neighbors.
+    [[nodiscard]] neighbor_list outgoing_clocked(const coordinate& c) const;
 
     /// In-bounds planar neighbors of \p c that may *send* information to it
-    /// (zone - 1), as ground-layer coordinates.
-    [[nodiscard]] std::vector<coordinate> incoming_clocked(const coordinate& c) const;
+    /// (zone - 1), as ground-layer coordinates, in the order of
+    /// \ref planar_neighbors.
+    [[nodiscard]] neighbor_list incoming_clocked(const coordinate& c) const;
 
     /// Iterates all occupied tiles in deterministic layer-major
     /// (z, y, x) scan order: fn(coordinate, tile_data).
@@ -243,13 +244,12 @@ public:
 
 private:
     /// One dense grid slot: the public tile payload plus the inline fanout
-    /// list. An empty slot is data.type == none with empty vectors — cheap
+    /// list. An empty slot is data.type == none with empty lists — cheap
     /// enough that the grid stores slots for every cell.
     struct grid_slot
     {
         tile_data data{};
-        std::array<coordinate, max_fanout> outs{};
-        std::uint8_t out_count{0};
+        coordinate_list<max_fanout> outs{};
     };
 
     [[nodiscard]] std::size_t index_of(const coordinate& c) const noexcept
@@ -274,7 +274,6 @@ private:
     }
 
     void check_occupied(const coordinate& c, const char* ctx) const;
-    void erase_outgoing(grid_slot& slot, const coordinate& dst) noexcept;
 
     std::string design_name;
     layout_topology topo;

@@ -1,10 +1,10 @@
 #include "layout/routing.hpp"
 
+#include "common/taskrt/arena.hpp"
 #include "common/types.hpp"
 #include "telemetry/telemetry.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <cstdint>
 #include <vector>
 
@@ -130,10 +130,11 @@ std::optional<std::vector<coordinate>> find_path(const gate_level_layout& layout
 
     // visited/parent bookkeeping is on ground positions: at most one new wire
     // per (x, y) position may join this path (stacking a path above itself is
-    // never useful for shortest paths). Both tables are dense arrays indexed
-    // like the layout grid — the search touches them once per neighbor, and
-    // a w*h byte/coordinate fill is cheaper than hash-map churn at every
-    // realistic grid size.
+    // never useful for shortest paths). All three tables are dense arrays in
+    // the thread's scratch arena, indexed like the layout grid, so a search
+    // allocates nothing once the arena has seen a grid this large. Only the
+    // visited bytes are cleared: the search reads back parent entries it
+    // wrote itself, and every ground position enters the FIFO at most once.
     const auto w = static_cast<std::size_t>(layout.width());
     const auto h = static_cast<std::size_t>(layout.height());
     const auto ground_index = [w](const coordinate& c)
@@ -141,22 +142,28 @@ std::optional<std::vector<coordinate>> find_path(const gate_level_layout& layout
     const auto placed_index = [w, h](const coordinate& c)
     { return (static_cast<std::size_t>(c.z) * h + static_cast<std::size_t>(c.y)) * w + static_cast<std::size_t>(c.x); };
 
-    std::vector<std::uint8_t> visited(w * h, 0);   // ground position seen?
-    std::vector<coordinate> parent(2 * w * h);     // placed coord -> predecessor placed coord
+    auto& arena = trt::scratch();
+    const trt::scratch_region region{arena};
+    auto* const visited = arena.allocate_array<std::uint8_t>(w * h);  // ground position seen?
+    auto* const parent = arena.allocate_array<coordinate>(2 * w * h);   // placed coord -> predecessor
+    auto* const queue = arena.allocate_array<coordinate>(w * h);        // placed coords (or src)
+    std::fill_n(visited, w * h, std::uint8_t{0});
 
-    std::deque<coordinate> queue;  // placed coords (or src)
-    queue.push_back(src);
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    queue[tail++] = src;
     visited[ground_index(src)] = 1;
 
     std::size_t expansions = 0;
     const auto target_ground = dst.ground();
 
-    while (!queue.empty())
+    while (head != tail)
     {
-        const auto current = queue.front();
-        queue.pop_front();
+        const auto current = queue[head++];
 
-        if (options.max_expansions != 0 && ++expansions > options.max_expansions)
+        // count every position taken off the queue, capped or not
+        ++expansions;
+        if (options.max_expansions != 0 && expansions > options.max_expansions)
         {
             flush_search_telemetry(expansions, false);
             return std::nullopt;
@@ -190,7 +197,7 @@ std::optional<std::vector<coordinate>> find_path(const gate_level_layout& layout
             }
             visited[ground_index(n)] = 1;
             parent[placed_index(*step)] = current;
-            queue.push_back(*step);
+            queue[tail++] = *step;
         }
     }
     flush_search_telemetry(expansions, false);

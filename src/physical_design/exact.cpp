@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace mnt::pd
@@ -110,9 +109,15 @@ private:
     {
         std::vector<std::vector<coordinate>> result;
 
-        // iterative-deepening DFS over new wire tiles
+        // iterative-deepening DFS over new wire tiles; a path never revisits
+        // a ground position, and it is short (at most shortest + slack
+        // wires), so a scan of it beats hashing
         std::vector<coordinate> current;
-        std::unordered_set<coordinate, lyt::coordinate_hash> on_path;  // ground positions
+        const auto on_path = [&current](const coordinate& ground)
+        {
+            return std::any_of(current.cbegin(), current.cend(),
+                               [&ground](const coordinate& c) { return c.ground() == ground; });
+        };
 
         const auto min_len = lyt::grid_distance(src, dst, layout.topology());
         const auto max_len = static_cast<std::size_t>(min_len) + params.path_slack;
@@ -157,7 +162,7 @@ private:
                 {
                     continue;
                 }
-                if (on_path.contains(n.ground()))
+                if (on_path(n.ground()))
                 {
                     continue;
                 }
@@ -173,9 +178,7 @@ private:
                     continue;
                 }
                 current.push_back(*placed);
-                on_path.insert(n.ground());
                 self(self, *placed, limit);
-                on_path.erase(n.ground());
                 current.pop_back();
             }
         };

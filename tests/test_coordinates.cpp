@@ -4,11 +4,33 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <ostream>
 #include <unordered_set>
+#include <vector>
 
 using namespace mnt;
 using namespace mnt::lyt;
+
+namespace mnt::lyt
+{
+
+/// gtest prints coordinates in assertion messages as "(x, y, z)".
+void PrintTo(const coordinate& c, std::ostream* os)
+{
+    *os << c.to_string();
+}
+
+}  // namespace mnt::lyt
+
+namespace
+{
+
+std::vector<coordinate> as_vector(const neighbor_list& ns)
+{
+    return {ns.begin(), ns.end()};
+}
+
+}  // namespace
 
 TEST(CoordinateTest, ConstructionAndEquality)
 {
@@ -41,34 +63,35 @@ TEST(CoordinateTest, HashDistinguishesLayers)
     EXPECT_EQ(set.size(), 2u);
 }
 
+// The neighbor order is part of the output contract: the router's BFS,
+// exact's path enumeration and NanoPlaceR's rip-up all take the first match
+// in this order, so a reordering changes layouts.
+
 TEST(CoordinateTest, CartesianNeighbors)
 {
-    const auto ns = planar_neighbors({2, 2}, layout_topology::cartesian);
-    EXPECT_EQ(ns.size(), 4u);
-    EXPECT_NE(std::find(ns.cbegin(), ns.cend(), coordinate(3, 2)), ns.cend());
-    EXPECT_NE(std::find(ns.cbegin(), ns.cend(), coordinate(2, 3)), ns.cend());
-    EXPECT_NE(std::find(ns.cbegin(), ns.cend(), coordinate(1, 2)), ns.cend());
-    EXPECT_NE(std::find(ns.cbegin(), ns.cend(), coordinate(2, 1)), ns.cend());
+    // E, S, W, N
+    EXPECT_EQ(as_vector(planar_neighbors({2, 2}, layout_topology::cartesian)),
+              (std::vector<coordinate>{{3, 2}, {2, 3}, {1, 2}, {2, 1}}));
+    // no bounds checking, and the layer is kept
+    EXPECT_EQ(as_vector(planar_neighbors({0, 0, 1}, layout_topology::cartesian)),
+              (std::vector<coordinate>{{1, 0, 1}, {0, 1, 1}, {-1, 0, 1}, {0, -1, 1}}));
 }
 
 TEST(CoordinateTest, HexagonalNeighborsEvenRow)
 {
-    const auto ns = planar_neighbors({3, 2}, layout_topology::hexagonal_even_row);
-    EXPECT_EQ(ns.size(), 6u);
-    // even row: down-neighbors are (x-1, y+1) and (x, y+1)
-    EXPECT_NE(std::find(ns.cbegin(), ns.cend(), coordinate(2, 3)), ns.cend());
-    EXPECT_NE(std::find(ns.cbegin(), ns.cend(), coordinate(3, 3)), ns.cend());
-    EXPECT_EQ(std::find(ns.cbegin(), ns.cend(), coordinate(4, 3)), ns.cend());
+    // even row: (x+1, y), (x-1, y), (x-1, y-1), (x, y-1), (x-1, y+1), (x, y+1)
+    EXPECT_EQ(as_vector(planar_neighbors({3, 2}, layout_topology::hexagonal_even_row)),
+              (std::vector<coordinate>{{4, 2}, {2, 2}, {2, 1}, {3, 1}, {2, 3}, {3, 3}}));
 }
 
 TEST(CoordinateTest, HexagonalNeighborsOddRow)
 {
-    const auto ns = planar_neighbors({3, 3}, layout_topology::hexagonal_even_row);
-    EXPECT_EQ(ns.size(), 6u);
-    // odd row: down-neighbors are (x, y+1) and (x+1, y+1)
-    EXPECT_NE(std::find(ns.cbegin(), ns.cend(), coordinate(3, 4)), ns.cend());
-    EXPECT_NE(std::find(ns.cbegin(), ns.cend(), coordinate(4, 4)), ns.cend());
-    EXPECT_EQ(std::find(ns.cbegin(), ns.cend(), coordinate(2, 4)), ns.cend());
+    // odd row: (x+1, y), (x-1, y), (x, y-1), (x+1, y-1), (x, y+1), (x+1, y+1)
+    EXPECT_EQ(as_vector(planar_neighbors({3, 3}, layout_topology::hexagonal_even_row)),
+              (std::vector<coordinate>{{4, 3}, {2, 3}, {3, 2}, {4, 2}, {3, 4}, {4, 4}}));
+    // negative odd rows are odd rows too
+    EXPECT_EQ(as_vector(planar_neighbors({0, -1, 1}, layout_topology::hexagonal_even_row)),
+              (std::vector<coordinate>{{1, -1, 1}, {-1, -1, 1}, {0, -2, 1}, {1, -2, 1}, {0, 0, 1}, {1, 0, 1}}));
 }
 
 TEST(CoordinateTest, HexNeighborhoodIsSymmetric)

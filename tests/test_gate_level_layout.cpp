@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 using namespace mnt;
 using namespace mnt::lyt;
@@ -13,6 +14,11 @@ using mnt::ntk::gate_type;
 
 namespace
 {
+
+std::vector<coordinate> as_vector(const neighbor_list& ns)
+{
+    return {ns.begin(), ns.end()};
+}
 
 gate_level_layout make_empty(const std::uint32_t w = 6, const std::uint32_t h = 6)
 {
@@ -179,14 +185,66 @@ TEST(GateLevelLayoutTest, CountsByCategory)
 TEST(GateLevelLayoutTest, OutgoingClockedRespectsBoundsAndScheme)
 {
     const auto layout = make_empty(3, 3);
-    // 2DDWave at (0,0): outgoing to (1,0) and (0,1)
-    const auto outs = layout.outgoing_clocked({0, 0});
-    EXPECT_EQ(outs.size(), 2u);
+    // 2DDWave at (0,0): outgoing to (1,0) and (0,1), east first
+    EXPECT_EQ(as_vector(layout.outgoing_clocked({0, 0})), (std::vector<coordinate>{{1, 0}, {0, 1}}));
     // at the south-east corner nothing is outgoing within bounds
     const auto corner = layout.outgoing_clocked({2, 2});
     EXPECT_TRUE(corner.empty());
-    // incoming at (0,0) is empty
+    // incoming at (0,0) is empty; at (1,1) west comes before north
     EXPECT_TRUE(layout.incoming_clocked({0, 0}).empty());
+    EXPECT_EQ(as_vector(layout.incoming_clocked({1, 1})), (std::vector<coordinate>{{0, 1}, {1, 0}}));
+}
+
+TEST(GateLevelLayoutTest, ClockedNeighborsAreTheFilteredPlanarNeighborOrder)
+{
+    // hexagonal ROW: information flows one row south
+    const gate_level_layout hex{"hex", layout_topology::hexagonal_even_row, clocking_scheme::row(), 5, 5};
+    EXPECT_EQ(as_vector(hex.outgoing_clocked({2, 2})), (std::vector<coordinate>{{1, 3}, {2, 3}}));
+    EXPECT_EQ(as_vector(hex.outgoing_clocked({2, 1})), (std::vector<coordinate>{{2, 2}, {3, 2}}));
+    EXPECT_EQ(as_vector(hex.outgoing_clocked({0, 2})), (std::vector<coordinate>{{0, 3}}));
+    EXPECT_EQ(as_vector(hex.incoming_clocked({2, 2})), (std::vector<coordinate>{{1, 1}, {2, 1}}));
+    EXPECT_EQ(as_vector(hex.incoming_clocked({4, 1})), (std::vector<coordinate>{{4, 0}}));
+    // queries on the crossing layer answer for the ground position below
+    EXPECT_EQ(as_vector(hex.outgoing_clocked({2, 2, 1})), (std::vector<coordinate>{{1, 3}, {2, 3}}));
+
+    // every tile, every scheme: the in-bounds, clock-filtered subsequence of
+    // planar_neighbors, in the same order
+    const std::vector<gate_level_layout> layouts{
+        {"2dd", layout_topology::cartesian, clocking_scheme::twoddwave(), 5, 4},
+        {"use", layout_topology::cartesian, clocking_scheme::use(), 5, 4},
+        {"res", layout_topology::cartesian, clocking_scheme::res(), 5, 4},
+        {"esr", layout_topology::cartesian, clocking_scheme::esr(), 5, 4},
+        {"hex", layout_topology::hexagonal_even_row, clocking_scheme::row(), 5, 4}};
+    for (const auto& layout : layouts)
+    {
+        for (std::int32_t y = 0; y < 4; ++y)
+        {
+            for (std::int32_t x = 0; x < 5; ++x)
+            {
+                const coordinate c{x, y};
+                std::vector<coordinate> outgoing;
+                std::vector<coordinate> incoming;
+                for (const auto& n : planar_neighbors(c, layout.topology()))
+                {
+                    if (!layout.within_bounds(n))
+                    {
+                        continue;
+                    }
+                    if (layout.clocking().is_incoming_clocked(n, c))
+                    {
+                        outgoing.push_back(n);
+                    }
+                    if (layout.clocking().is_incoming_clocked(c, n))
+                    {
+                        incoming.push_back(n);
+                    }
+                }
+                const auto where = layout.layout_name() + " " + c.to_string();
+                EXPECT_EQ(as_vector(layout.outgoing_clocked(c)), outgoing) << where;
+                EXPECT_EQ(as_vector(layout.incoming_clocked(c)), incoming) << where;
+            }
+        }
+    }
 }
 
 TEST(GateLevelLayoutTest, ResizeValidation)

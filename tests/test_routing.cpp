@@ -2,6 +2,7 @@
 
 #include "common/types.hpp"
 #include "layout/gate_level_layout.hpp"
+#include "telemetry/telemetry.hpp"
 #include "verification/drc.hpp"
 
 #include <gtest/gtest.h>
@@ -146,6 +147,34 @@ TEST(RoutingTest, MaxExpansionsLimitsSearch)
     routing_options options{};
     options.max_expansions = 3;
     EXPECT_FALSE(find_path(layout, {0, 0}, {19, 19}, options).has_value());
+}
+
+TEST(RoutingTest, ExpansionsAreCountedWithAndWithoutCap)
+{
+    // every position taken off the queue counts, whether a cap is set or not
+    const auto was_enabled = tel::enabled();
+    tel::set_enabled(true);
+    const auto& expanded = tel::registry::instance().get_counter("route.expansions");
+    const auto expansions_of = [&](const routing_options& options, const bool expect_path)
+    {
+        auto layout = make_2dd(20, 20);
+        layout.place({0, 0}, gate_type::pi, "a");
+        layout.place({19, 19}, gate_type::po, "y");
+        const auto before = expanded.value();
+        EXPECT_EQ(find_path(layout, {0, 0}, {19, 19}, options).has_value(), expect_path);
+        return expanded.value() - before;
+    };
+
+    const auto uncapped = expansions_of(routing_options{}, true);
+    EXPECT_GT(uncapped, 0u);
+    routing_options generous{};
+    generous.max_expansions = 1'000'000;
+    EXPECT_EQ(expansions_of(generous, true), uncapped);
+    // a capped search gives up on the first position beyond the cap
+    routing_options capped{};
+    capped.max_expansions = 3;
+    EXPECT_EQ(expansions_of(capped, false), 4u);
+    tel::set_enabled(was_enabled);
 }
 
 TEST(RoutingTest, USERouteCanTurnBack)

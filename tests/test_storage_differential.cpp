@@ -9,14 +9,20 @@
 /// set of tests pins the .fgl serialization of every Trindade16 and Fontes18
 /// benchmark to content hashes captured with the map-backed implementation,
 /// proving the storage swap is byte-invisible on the paper's Table I flows.
+/// A third pins whole Table I portfolios (exact, NanoPlaceR, PLO and the
+/// rest) for the curated rows of the end-to-end benchmark.
+
+#include "table_helpers.hpp"
 
 #include "benchmarks/suites.hpp"
 #include "common/types.hpp"
+#include "core/catalog.hpp"
 #include "io/fgl_writer.hpp"
 #include "layout/gate_level_layout.hpp"
 #include "network/gate_type.hpp"
 #include "physical_design/hexagonalization.hpp"
 #include "physical_design/ortho.hpp"
+#include "physical_design/portfolio.hpp"
 #include "service/hash.hpp"
 
 #include <gtest/gtest.h>
@@ -438,5 +444,81 @@ TEST(StorageDifferentialTest, FglOutputByteIdenticalToMapBackedBaseline)
             << ".fgl bytes changed for " << entry.name << " (Cartesian)";
         EXPECT_EQ(svc::content_hash(io::write_fgl_string(pd::hexagonalization(cart))), hex_hash)
             << ".fgl bytes changed for " << entry.name << " (hexagonal)";
+    }
+}
+
+// ---------------------------------------------- golden Table I portfolios
+//
+// Content hashes of the Table I portfolios of the table1_curated rows: every
+// layout pd::generate_portfolio returns for one function and library,
+// serialized with io::write_fgl_string and concatenated in portfolio order.
+// The budgets are those of the Table I benches (bench::params_for) with
+// exact's wall-clock budget raised to 120 s, so no row depends on the speed
+// of the machine. exact, NanoPlaceR and PLO are the flows that route tile by
+// tile (lyt::find_path and exact's path enumeration); the hashes were
+// captured while the neighbor queries still returned heap vectors, and pin
+// the neighbor order and every tie-break of the searches.
+
+namespace
+{
+
+struct golden_portfolio
+{
+    const char* set;
+    const char* name;
+    cat::gate_library_kind library;
+    const char* hash;
+};
+
+constexpr golden_portfolio golden_table1[] = {
+    {"Trindade16", "Half Adder", cat::gate_library_kind::qca_one, "41c96d252647a593030bb55f95a5a418"},
+    {"Trindade16", "Half Adder", cat::gate_library_kind::bestagon, "f644947dce091bdf23a45de7b30c5550"},
+    {"Trindade16", "Full Adder", cat::gate_library_kind::qca_one, "61117ec048f6f80e267ca7c605097590"},
+    {"Trindade16", "Full Adder", cat::gate_library_kind::bestagon, "d70c44570c111230672b1e7c0407f6e3"},
+    {"Trindade16", "Parity Gen.", cat::gate_library_kind::qca_one, "d7a957bc2a5d5f6fb44c2ef41ffd4b67"},
+    {"Trindade16", "Parity Gen.", cat::gate_library_kind::bestagon, "abeaab5165379aeecad1a7d868d4780f"},
+    {"Trindade16", "Parity Check.", cat::gate_library_kind::qca_one, "6a06bf1e2e80e98def393b0ec916faf0"},
+    {"Trindade16", "Parity Check.", cat::gate_library_kind::bestagon, "2213d4ee16ed3a910f6f7d2f73f387c1"},
+    {"Fontes18", "t", cat::gate_library_kind::qca_one, "ac640caf688d7b269810cf6b9498f16c"},
+    {"Fontes18", "t", cat::gate_library_kind::bestagon, "4e29e3e2808a2b3e40d8cdf29ce0e758"},
+    {"Fontes18", "b1_r2", cat::gate_library_kind::qca_one, "0ef181a9c1abecc23232ab8962ba4115"},
+    {"Fontes18", "b1_r2", cat::gate_library_kind::bestagon, "2daf1c1efd09967f3617c6748684158d"},
+    {"Fontes18", "newtag", cat::gate_library_kind::qca_one, "57256a76b1830ce0aa94d210c0a78b71"},
+    {"Fontes18", "newtag", cat::gate_library_kind::bestagon, "26a47ea635c5d5709a9f7045feaa34e6"},
+    {"Fontes18", "xor5Maj", cat::gate_library_kind::qca_one, "d82d1c3e9e6ea24832cb8d9509582f16"},
+    {"Fontes18", "xor5Maj", cat::gate_library_kind::bestagon, "41a3cd1419192e13f583115f3159fad3"},
+};
+
+}  // namespace
+
+TEST(StorageDifferentialTest, Table1PortfoliosByteIdenticalToVectorNeighborBaseline)
+{
+    auto entries = bm::trindade16();
+    for (const auto& f : bm::fontes18())
+    {
+        entries.push_back(f);
+    }
+
+    for (const auto& row : golden_table1)
+    {
+        const auto entry = std::find_if(entries.cbegin(), entries.cend(), [&](const bm::benchmark_entry& e)
+                                        { return e.set == row.set && e.name == row.name; });
+        ASSERT_NE(entry, entries.cend()) << "no benchmark " << row.set << "/" << row.name;
+
+        auto params = bench::params_for(entry->size);
+        params.exact_timeout_s = 120.0;
+        const auto flavor = row.library == cat::gate_library_kind::qca_one ? pd::portfolio_flavor::cartesian :
+                                                                             pd::portfolio_flavor::hexagonal;
+        const auto run = pd::generate_portfolio(entry->build(), flavor, params);
+        EXPECT_TRUE(run.failures().empty()) << row.name;
+
+        std::string fgl;
+        for (const auto& r : run.results)
+        {
+            fgl += io::write_fgl_string(r.layout);
+        }
+        EXPECT_EQ(svc::content_hash(fgl), row.hash)
+            << "portfolio .fgl bytes changed for " << row.name << " (" << cat::gate_library_name(row.library)
+            << ", " << run.results.size() << " layouts)";
     }
 }

@@ -539,6 +539,30 @@ TEST(ScratchArenaTest, OversizedRequestGetsDedicatedBlock)
     EXPECT_NE(small, nullptr);
 }
 
+TEST(ScratchArenaTest, SpareBlockTooSmallIsReplacedNotKept)
+{
+    // growing requests in successive regions (the router's search tables on
+    // ever larger grids) keep the first block plus the largest request, not
+    // one block per size
+    trt::scratch_arena arena{256};
+    for (const std::size_t bytes : {1000u, 2000u, 3000u, 4000u})
+    {
+        trt::scratch_region region{arena};
+        static_cast<void>(arena.allocate(16, 8));  // the first block is in use
+        auto* table = arena.allocate_array<std::uint32_t>(bytes / 4);
+        ASSERT_NE(table, nullptr);
+        table[bytes / 4 - 1] = 1;
+    }
+    EXPECT_EQ(arena.reserved_bytes(), 256u + 4000u + alignof(std::uint32_t));
+    // a smaller request afterwards reuses the larger block
+    {
+        trt::scratch_region region{arena};
+        static_cast<void>(arena.allocate(16, 8));
+        static_cast<void>(arena.allocate(2000, 8));
+    }
+    EXPECT_EQ(arena.reserved_bytes(), 256u + 4000u + alignof(std::uint32_t));
+}
+
 TEST(ScratchArenaTest, RegionsNestLifo)
 {
     trt::scratch_arena arena{1024};
