@@ -69,7 +69,8 @@ struct cli_options
     double deadline_s{0.0};
     /// Attempts per combination (retries of transient failures).
     std::optional<std::size_t> max_attempts;
-    /// Worker threads for independent portfolio combinations.
+    /// Above 1, portfolio combinations run as task-runtime tasks (see
+    /// pd::portfolio_params::jobs).
     std::size_t jobs{1};
     /// Task-runtime compute threads (0 = auto). Precedence:
     /// --threads > MNT_THREADS > hardware concurrency.
@@ -215,28 +216,6 @@ cli_options parse_args(const int argc, const char** argv)
         }
     }
     return options;
-}
-
-pd::portfolio_params params_for(const bm::size_class size)
-{
-    pd::portfolio_params params{};
-    switch (size)
-    {
-        case bm::size_class::tiny: params.exact_timeout_s = 2.0; break;
-        case bm::size_class::small: params.try_exact = false; break;
-        case bm::size_class::medium:
-            params.try_exact = false;
-            params.try_nanoplacer = false;
-            params.input_orderings = 3;
-            break;
-        case bm::size_class::large:
-            params.try_exact = false;
-            params.try_nanoplacer = false;
-            params.input_orderings = 2;
-            params.try_plo = false;
-            break;
-    }
-    return params;
 }
 
 /// Resolves --family/--family-count/--family-seed into a concrete spec.
@@ -431,7 +410,8 @@ cat::catalog generate(const std::vector<bm::benchmark_entry>& entries, const cli
         std::fprintf(stderr, "generating %s/%s ...\n", entry.set.c_str(), entry.name.c_str());
         const auto network = entry.build();
         catalog.add_network(entry.set, entry.name, network);
-        auto params = params_for(entry.size);
+        pd::portfolio_params params{};
+        svc::apply_size_defaults(params, entry.size);
         params.deadline_s = options.deadline_s;
         params.jobs = options.jobs;
         params.stop = interrupt_flag();
@@ -807,7 +787,8 @@ int main(const int argc, const char** argv)
                 "resilience (generating commands):\n"
                 "  --deadline <seconds>   global wall-clock budget per portfolio run (cooperative)\n"
                 "  --retries <n>          retries per combination for transient failures (default 1)\n"
-                "  --jobs <n>             worker threads for independent portfolio combinations (default 1)\n"
+                "  --jobs <n>             n > 1 runs independent portfolio combinations as task-runtime\n"
+                "                         tasks; they overlap only when the runtime has >1 thread (default 1)\n"
                 "  --threads <n>          task-runtime compute threads, 0 = auto; precedence\n"
                 "                         --threads > MNT_THREADS > hardware concurrency; supervised\n"
                 "                         shard workers default to cores/shards (min 1)\n"

@@ -12,7 +12,7 @@
 ///                   [--report <file.json>] [--verbose-telemetry]
 ///                   [--trace-out <file.json>] [--event-log <file.jsonl>]
 ///                   [--resume] [--supervise] [--shards <n>] [--deterministic]
-///                   [--idle-timeout <s>] [--cache-mb <mb>] [--max-connections <n>]
+///                   [--idle-timeout <s>] [--max-connections <n>]
 ///
 /// Typical session:
 ///   mnt_bench_serve --store bench_store --generate --set Trindade16   # populate
@@ -68,8 +68,6 @@ struct serve_options
     std::size_t jobs{1};
     /// Keep-alive idle timeout (seconds).
     double idle_timeout_s{15.0};
-    /// Response-cache byte budget in megabytes.
-    std::size_t cache_mb{8};
     /// Open-connection cap across all event loops.
     std::size_t max_connections{1024};
     /// Physical-design task-runtime threads (0 = auto). --threads here means
@@ -149,10 +147,6 @@ serve_options parse_args(const int argc, const char** argv)
         else if (arg == "--idle-timeout")
         {
             options.idle_timeout_s = std::stod(next());
-        }
-        else if (arg == "--cache-mb")
-        {
-            options.cache_mb = std::stoul(next());
         }
         else if (arg == "--max-connections")
         {
@@ -523,7 +517,6 @@ int run(const serve_options& options)
     server_options.port = options.port;
     server_options.threads = options.threads;
     server_options.idle_timeout_s = options.idle_timeout_s;
-    server_options.cache_capacity_bytes = options.cache_mb << 20U;
     server_options.max_connections = options.max_connections;
     svc::catalog_server server{std::move(engine), server_options};
     server.attach_store(&store);
@@ -581,10 +574,10 @@ int main(const int argc, const char** argv)
                     "  --port <p>             TCP port (default 0 = ephemeral; printed on startup)\n"
                     "  --threads <n>          server event-loop threads (default 4)\n"
                     "  --idle-timeout <s>     close idle keep-alive connections after s seconds (default 15)\n"
-                    "  --cache-mb <mb>        response-cache byte budget (default 8)\n"
                     "  --max-connections <n>  open-connection cap; past it the oldest idle\n"
                     "                         keep-alive connection is shed (default 1024)\n"
-                    "  --jobs <n>             portfolio worker threads (default 1)\n"
+                    "  --jobs <n>             n > 1 runs portfolio combinations as compute-runtime tasks;\n"
+                    "                         they overlap only when that runtime has >1 thread (default 1)\n"
                     "  --pd-threads <n>       physical-design compute threads, 0 = auto\n"
                     "                         (precedence --pd-threads > MNT_THREADS > hardware)\n"
                     "  --deadline <seconds>   wall-clock budget per portfolio run\n"

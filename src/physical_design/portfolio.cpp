@@ -17,10 +17,8 @@
 #include "verification/wave_simulation.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <iterator>
-#include <thread>
 
 namespace mnt::pd
 {
@@ -417,8 +415,7 @@ portfolio_run generate_portfolio(const logic_network& input, const portfolio_fla
     }
 
     portfolio_run run{};
-    const auto jobs = std::min(std::max<std::size_t>(params.jobs, 1), std::max<std::size_t>(tasks.size(), 1));
-    if (jobs <= 1)
+    if (params.jobs <= 1 || tasks.size() <= 1)
     {
         combo_context ctx{network, params, guard, run.results, run.outcomes};
         for (const auto& task : tasks)
@@ -437,58 +434,19 @@ portfolio_run generate_portfolio(const logic_network& input, const portfolio_fla
         };
         std::vector<task_slot> slots(tasks.size());
 
-        if (trt::parallel())
-        {
-            // in-process thread mode: combos become tasks of the shared
-            // runtime, composing with any in-algorithm parallelism (exact
-            // races, NPR chains) instead of oversubscribing with a second
-            // thread pool. Span adoption is handled by the runtime itself.
-            trt::parallel_for(0, tasks.size(), 1,
-                              [&](const std::size_t chunk_begin, const std::size_t chunk_end)
+        // combos become tasks of the shared runtime, composing with any
+        // in-algorithm parallelism (exact races, NPR chains) instead of
+        // oversubscribing with a second thread pool; a serial runtime runs
+        // them inline in task order. Span adoption is handled by the runtime.
+        trt::parallel_for(0, tasks.size(), 1,
+                          [&](const std::size_t chunk_begin, const std::size_t chunk_end)
+                          {
+                              for (std::size_t i = chunk_begin; i < chunk_end; ++i)
                               {
-                                  for (std::size_t i = chunk_begin; i < chunk_end; ++i)
-                                  {
-                                      combo_context ctx{network, params, guard, slots[i].results,
-                                                        slots[i].outcomes};
-                                      tasks[i](ctx);
-                                  }
-                              });
-        }
-        else
-        {
-            // the runtime is pinned serial (--threads 1 / single-core): honor
-            // the explicit --jobs request with the classic dedicated pool
-            std::atomic<std::size_t> next{0};
-
-            // workers adopt the caller's trace position, so per-combo spans
-            // nest under the portfolio root exactly as in the sequential run
-            // instead of surfacing as orphan per-thread roots
-            const auto parent_context = tel::current_span_context();
-            const auto work = [&]
-            {
-                const tel::context_guard adopt{parent_context};
-                while (true)
-                {
-                    const auto i = next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= tasks.size())
-                    {
-                        return;
-                    }
-                    combo_context ctx{network, params, guard, slots[i].results, slots[i].outcomes};
-                    tasks[i](ctx);
-                }
-            };
-            std::vector<std::thread> pool;
-            pool.reserve(jobs);
-            for (std::size_t j = 0; j < jobs; ++j)
-            {
-                pool.emplace_back(work);
-            }
-            for (auto& worker : pool)
-            {
-                worker.join();
-            }
-        }
+                                  combo_context ctx{network, params, guard, slots[i].results, slots[i].outcomes};
+                                  tasks[i](ctx);
+                              }
+                          });
 
         for (auto& slot : slots)
         {

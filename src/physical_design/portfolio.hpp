@@ -107,11 +107,13 @@ struct portfolio_params
     /// be thread-safe when \ref jobs > 1. Unset = run everything.
     std::function<bool(const std::string&)> is_cached{};
 
-    /// Worker threads for independent top-level combinations (1 = run
-    /// sequentially on the caller's thread). Results and outcomes are merged
-    /// in deterministic task order, so the output is identical for any job
-    /// count; an optimization follow-up (PLO) stays on its base
-    /// combination's worker.
+    /// Above 1, independent top-level combinations become tasks of the
+    /// shared task runtime (\ref mnt::trt::parallel_for): they overlap only
+    /// when the runtime has more than one thread, and a serial runtime runs
+    /// them inline in task order (1 = run sequentially on the caller's
+    /// thread). Results and outcomes are merged in deterministic task order,
+    /// so the output is identical for any job count; an optimization
+    /// follow-up (PLO) stays with its base combination.
     std::size_t jobs{1};
 
     /// Optional external cancellation flag (stop_token style): once set, the

@@ -18,11 +18,6 @@
 namespace mnt::svc
 {
 
-namespace
-{
-
-/// Size-class tool budgets, mirroring the Table I policy (exact only on tiny
-/// functions, stochastic placement up to small, scalable heuristics beyond).
 void apply_size_defaults(pd::portfolio_params& params, const bm::size_class size)
 {
     switch (size)
@@ -42,6 +37,9 @@ void apply_size_defaults(pd::portfolio_params& params, const bm::size_class size
             break;
     }
 }
+
+namespace
+{
 
 /// Human-readable options fingerprint for the journal's run_start record; a
 /// resume under a different configuration logs a warning (the done set is

@@ -154,6 +154,12 @@ struct populate_report
     bool interrupted{false};
 };
 
+/// Size-class tool budgets, mirroring the Table I policy (exact only on tiny
+/// functions, stochastic placement up to small, scalable heuristics beyond):
+/// applied per entry by \ref populate_store, and by the CLI's in-memory
+/// generation.
+void apply_size_defaults(pd::portfolio_params& params, bm::size_class size);
+
 /// The job matrix \ref populate_store will execute for this configuration,
 /// in execution order (entries × enabled libraries).
 [[nodiscard]] std::vector<regen_job> enumerate_regen_jobs(const std::vector<bm::benchmark_entry>& entries,

@@ -77,8 +77,9 @@ struct page_query
     bool include_facets{true};
 
     /// Canonical normalized key of this query (vectors sorted + deduped) —
-    /// the response-cache key. Two queries with the same semantics have the
-    /// same key regardless of how they were written.
+    /// the key of the server's pre-rendered snapshot pages. Two queries with
+    /// the same semantics have the same key regardless of how they were
+    /// written.
     [[nodiscard]] std::string cache_key() const;
 
     /// Parses the JSON body format:

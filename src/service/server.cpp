@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <unordered_map>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -263,87 +264,6 @@ http_parse_result parse_http_request(const std::string_view bytes, const std::si
     return result;
 }
 
-// ------------------------------------------------------------ response_cache
-
-response_cache::response_cache(const std::size_t max_entries, const std::size_t max_bytes) :
-        max_entries{max_entries},
-        max_bytes{max_bytes}
-{}
-
-std::optional<cached_response> response_cache::get(const std::string& key)
-{
-    const std::scoped_lock lock{mutex};
-    const auto found = index.find(key);
-    if (found == index.cend())
-    {
-        return std::nullopt;
-    }
-    entries.splice(entries.begin(), entries, found->second);
-    return found->second->response;
-}
-
-void response_cache::put(const std::string& key, const std::string& body, const std::string& etag,
-                         const std::uint64_t generation)
-{
-    if (max_entries == 0)
-    {
-        return;
-    }
-    const std::scoped_lock lock{mutex};
-    if (generation != current_generation)
-    {
-        return;  // rendered against a snapshot that has since been swapped out
-    }
-    const auto entry_bytes = key.size() + body.size() + etag.size();
-    if (const auto found = index.find(key); found != index.cend())
-    {
-        total_bytes -= found->second->key.size() + found->second->response.body.size() +
-                       found->second->response.etag.size();
-        found->second->response = cached_response{body, etag};
-        total_bytes += entry_bytes;
-        entries.splice(entries.begin(), entries, found->second);
-    }
-    else
-    {
-        entries.emplace_front(entry{key, cached_response{body, etag}});
-        index.emplace(key, entries.begin());
-        total_bytes += entry_bytes;
-    }
-    evict_to_bounds();
-}
-
-void response_cache::invalidate(const std::uint64_t generation)
-{
-    const std::scoped_lock lock{mutex};
-    current_generation = generation;
-    entries.clear();
-    index.clear();
-    total_bytes = 0;
-}
-
-void response_cache::evict_to_bounds()
-{
-    while (!entries.empty() && (entries.size() > max_entries || total_bytes > max_bytes))
-    {
-        const auto& victim = entries.back();
-        total_bytes -= victim.key.size() + victim.response.body.size() + victim.response.etag.size();
-        index.erase(victim.key);
-        entries.pop_back();
-    }
-}
-
-std::size_t response_cache::size() const
-{
-    const std::scoped_lock lock{mutex};
-    return entries.size();
-}
-
-std::size_t response_cache::bytes() const
-{
-    const std::scoped_lock lock{mutex};
-    return total_bytes;
-}
-
 // ----------------------------------------------------------- event-loop state
 
 /// Per-connection state machine. A connection cycles between *reading* (a
@@ -389,7 +309,6 @@ catalog_server::catalog_server(const query_engine& engine, server_options option
 
 catalog_server::catalog_server(std::shared_ptr<const query_engine> engine, server_options options) :
         options{std::move(options)},
-        cache{this->options.cache_capacity, this->options.cache_capacity_bytes},
         current_snapshot{build_catalog_snapshot(std::move(engine), 0)}
 {}
 
@@ -412,17 +331,11 @@ void catalog_server::publish(std::shared_ptr<const query_engine> engine)
         generation = next_generation++;
     }
     auto snapshot = build_catalog_snapshot(std::move(engine), generation);
-    // invalidate BEFORE the swap: once the cache's accepted generation has
-    // advanced, a put() raced from a handler still rendering against the old
-    // snapshot is rejected — the stale-200-after-regeneration window closes
-    cache.invalidate(generation);
     {
         const std::scoped_lock lock{snapshot_mutex};
         current_snapshot = snapshot;
     }
-    auto& reg = tel::registry::instance();
-    reg.get_gauge("server.snapshot_generation").set(static_cast<double>(generation));
-    reg.get_gauge("server.cache_bytes").set(static_cast<double>(cache.bytes()));
+    tel::registry::instance().get_gauge("server.snapshot_generation").set(static_cast<double>(generation));
     tel::log_event(tel::log_severity::info, "server", "snapshot published",
                    {{"generation", std::to_string(generation)},
                     {"pages", std::to_string(snapshot->pages.size())},
@@ -1110,16 +1023,13 @@ http_response catalog_server::page_response(const page_query& query)
         count_always("server.snapshot_hits");
         return http_response{200, "application/json", found->second.body, found->second.etag};
     }
-    if (auto cached = cache.get(key); cached.has_value())
-    {
-        count_always("server.cache_hits");
-        return http_response{200, "application/json", std::move(cached->body), std::move(cached->etag)};
-    }
+    // every other page is rendered by the snapshot's engine. The
+    // server.cache_misses counter counts these renders, i.e. the pages the
+    // snapshot does not hold; its name is kept for the readers that
+    // attribute engine time by it
     count_always("server.cache_misses");
     auto body = page_json_string(snap->engine->run(query));
     auto etag = make_etag(body);
-    cache.put(key, body, etag, snap->generation);
-    tel::registry::instance().get_gauge("server.cache_bytes").set(static_cast<double>(cache.bytes()));
     return http_response{200, "application/json", std::move(body), std::move(etag)};
 }
 
@@ -1158,8 +1068,6 @@ http_response catalog_server::statz_response()
     srv.set("accept_errors", json_value{reg.get_counter("server.accept_errors").value()});
     srv.set("not_modified", json_value{reg.get_counter("server.not_modified").value()});
     srv.set("workers", json_value{static_cast<std::uint64_t>(loops.size())});
-    srv.set("cache_entries", json_value{static_cast<std::uint64_t>(cache.size())});
-    srv.set("cache_bytes", json_value{static_cast<std::uint64_t>(cache.bytes())});
     srv.set("snapshot_generation", json_value{snap->generation});
     srv.set("snapshot_pages", json_value{static_cast<std::uint64_t>(snap->pages.size())});
     document.set("server", std::move(srv));

@@ -42,8 +42,9 @@
 /// - **Read path is shared-immutable.** The current \ref catalog_snapshot
 ///   (engine + pre-rendered hot JSON + ETags) is an immutable object
 ///   swapped atomically by \ref publish; handlers copy one shared_ptr and
-///   never observe a half-updated catalog. The response cache is the only
-///   mutable shared state and is both entry- and byte-bounded.
+///   never observe a half-updated catalog. A page the snapshot does not
+///   hold is rendered by the snapshot's engine on every request; nothing
+///   but the snapshot pointer and the counters is shared and mutable.
 /// - **Conditional requests.** Every catalog JSON body and every download
 ///   carries a strong content-hash ETag; `If-None-Match` turns a repeat
 ///   visit into a 304 with no body.
@@ -67,13 +68,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace mnt::svc
@@ -92,14 +90,6 @@ struct server_options
 
     /// Event-loop threads (each owns an epoll set of connections).
     std::size_t threads{4};
-
-    /// Response-cache capacity in entries (0 disables the cache).
-    std::size_t cache_capacity{128};
-
-    /// Response-cache capacity in total bytes (keys + bodies + ETags); the
-    /// cache evicts least-recently-used entries past either bound, so a
-    /// handful of maximal catalog pages cannot pin unbounded memory.
-    std::size_t cache_capacity_bytes{8U << 20U};
 
     /// Per-request deadline in seconds (read + handle); expiry yields 408.
     double request_deadline_s{10.0};
@@ -180,63 +170,6 @@ struct http_parse_result
 /// throws; any input yields one of the four statuses.
 [[nodiscard]] http_parse_result parse_http_request(std::string_view bytes, std::size_t max_bytes);
 
-/// One cached rendered response.
-struct cached_response
-{
-    std::string body;
-    std::string etag;  ///< unquoted strong ETag of body
-};
-
-/// Thread-safe LRU cache of rendered response bodies keyed by the
-/// normalized query (\ref page_query::cache_key), bounded both by entry
-/// count and by total bytes. Entries are tagged with the snapshot
-/// generation they were rendered from; \ref invalidate advances the
-/// accepted generation and clears the cache, so a put() raced from before
-/// a snapshot swap can never re-introduce a stale body (see DESIGN.md §16
-/// for the ordering argument).
-class response_cache
-{
-public:
-    /// \p max_entries 0 disables the cache; \p max_bytes bounds
-    /// key+body+etag bytes across all entries.
-    explicit response_cache(std::size_t max_entries, std::size_t max_bytes = SIZE_MAX);
-
-    /// Returns the cached response and refreshes its recency.
-    [[nodiscard]] std::optional<cached_response> get(const std::string& key);
-
-    /// Inserts (or refreshes) the response, evicting least recently used
-    /// entries past either bound. A \p generation older than the cache's
-    /// current one is dropped — the render predates a snapshot swap.
-    void put(const std::string& key, const std::string& body, const std::string& etag,
-             std::uint64_t generation = 0);
-
-    /// Clears every entry and advances the accepted generation.
-    void invalidate(std::uint64_t generation);
-
-    [[nodiscard]] std::size_t size() const;
-
-    /// Total bytes held (keys + bodies + ETags).
-    [[nodiscard]] std::size_t bytes() const;
-
-private:
-    struct entry
-    {
-        std::string key;
-        cached_response response;
-    };
-    using entry_list = std::list<entry>;
-
-    void evict_to_bounds();  ///< callers hold the mutex
-
-    mutable std::mutex mutex;
-    std::size_t max_entries;
-    std::size_t max_bytes;
-    std::size_t total_bytes{0};
-    std::uint64_t current_generation{0};
-    entry_list entries;  ///< front = most recently used
-    std::unordered_map<std::string, entry_list::iterator> index;
-};
-
 /// The catalog server. The engine (and the catalog it references) must
 /// outlive the server and stay unmodified while any snapshot built from it
 /// is current or held by an in-flight request; passing an owning
@@ -276,12 +209,12 @@ public:
     [[nodiscard]] bool running() const noexcept;
 
     /// Atomically replaces the serving snapshot with one freshly built from
-    /// \p engine and invalidates the response cache — the regeneration
-    /// hook: after the store is repopulated (e.g. a `--resume` run), a
-    /// fresh engine published here makes every subsequent response reflect
-    /// the new content, with new ETags. Invalidation happens *before* the
-    /// swap, so a response rendered from the old snapshot can never be
-    /// re-admitted under the new generation. Safe to call while serving.
+    /// \p engine — the regeneration hook: after the store is repopulated
+    /// (e.g. a `--resume` run), a fresh engine published here makes every
+    /// subsequent response reflect the new content, with new ETags. A
+    /// request that copied the old snapshot before the swap finishes against
+    /// it; nothing rendered from it outlives that request. Safe to call
+    /// while serving.
     void publish(std::shared_ptr<const query_engine> engine);
 
     /// Generation of the currently served snapshot (0 = initial).
@@ -332,7 +265,6 @@ private:
 
     server_options options;
     const layout_store* store{nullptr};
-    response_cache cache;
     const std::chrono::steady_clock::time_point started_at{std::chrono::steady_clock::now()};
 
     mutable std::mutex snapshot_mutex;

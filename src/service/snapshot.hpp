@@ -13,12 +13,12 @@
 ///        snapshot (the shared-state-vs-messaging split, not fine-grained
 ///        locking).
 ///
-/// ETag derivation: every pre-rendered (and cached) JSON body carries a
-/// strong validator — the 128-bit truncated SHA-256 of its exact bytes
-/// (\ref mnt::svc::content_hash), the same function that addresses store
-/// blobs. Two byte-identical bodies always share an ETag, any byte change
-/// produces a new one, and a /download/<id> response's ETag is the id
-/// itself (it already is the blob's content hash).
+/// ETag derivation: every catalog JSON body, pre-rendered or rendered per
+/// request, carries a strong validator — the 128-bit truncated SHA-256 of
+/// its exact bytes (\ref mnt::svc::content_hash), the same function that
+/// addresses store blobs. Two byte-identical bodies always share an ETag,
+/// any byte change produces a new one, and a /download/<id> response's
+/// ETag is the id itself (it already is the blob's content hash).
 
 #include "service/query.hpp"
 

@@ -15,6 +15,7 @@
 #include "physical_design/ortho.hpp"
 #include "service/query.hpp"
 #include "service/server.hpp"
+#include "service/snapshot.hpp"
 #include "testing/generators.hpp"
 #include "testing/oracles.hpp"
 #include "testing/shrink.hpp"
@@ -350,7 +351,7 @@ TEST(HttpStack, ArbitraryByteStreamsNeverCrashOrAnswer5xx)
 TEST(HttpStack, ConcurrentHandleIsRaceFree)
 {
     // the nightly TSan run leans on this: many threads through the shared
-    // read path (indexes + response cache) with generated requests
+    // read path (indexes + snapshot) with generated requests
     const auto& f = fixture();
     svc::catalog_server server{*f.engine};
 
@@ -381,6 +382,108 @@ TEST(HttpStack, ConcurrentHandleIsRaceFree)
         worker.join();
     }
     EXPECT_EQ(failures.load(), 0U);
+}
+
+TEST(HttpStack, PublishRacingRendersServesOneEngineOrTheOther)
+{
+    // handlers render pages the snapshot does not hold while the main thread
+    // swaps between two engines: every response must be exactly one
+    // engine's render (body and ETag together), never a mix or a stale copy
+    const auto& f = fixture();
+    cat::catalog pruned{};
+    for (std::size_t i = 0; i < f.catalog.layouts().size(); ++i)
+    {
+        if (i % 5 != 0)  // drops one row of each of f0..f5
+        {
+            pruned.add_layout(f.catalog.layouts()[i]);
+        }
+    }
+    const std::shared_ptr<const svc::query_engine> full_engine{f.engine.get(), [](const svc::query_engine*) {}};
+    const auto pruned_engine = std::make_shared<const svc::query_engine>(pruned);
+
+    const std::vector<std::string> query_strings{"name=f0",
+                                                 "name=f1&sort=runtime&order=desc",
+                                                 "set=Fontes18&limit=3&offset=1",
+                                                 "library=Bestagon&facets=1",
+                                                 "best=1&library=Bestagon",
+                                                 "clocking=USE&sort=algorithm",
+                                                 "algorithm=exact&limit=2",
+                                                 "sort=benchmark&order=desc&offset=3&limit=7"};
+    struct rendered
+    {
+        std::string body;
+        std::string etag;
+    };
+    std::vector<std::pair<rendered, rendered>> expected{};
+    for (const auto& query_string : query_strings)
+    {
+        const auto query = svc::page_query::from_query_string(query_string);
+        for (const auto& held : svc::default_page_queries())
+        {
+            ASSERT_NE(held.cache_key(), query.cache_key()) << query_string;
+        }
+        auto full_body = svc::page_json_string(full_engine->run(query));
+        auto pruned_body = svc::page_json_string(pruned_engine->run(query));
+        ASSERT_NE(full_body, pruned_body) << query_string;
+        auto full_etag = svc::make_etag(full_body);
+        auto pruned_etag = svc::make_etag(pruned_body);
+        expected.push_back(
+            {{std::move(full_body), std::move(full_etag)}, {std::move(pruned_body), std::move(pruned_etag)}});
+    }
+
+    svc::catalog_server server{full_engine};
+    constexpr std::size_t threads = 4;
+    constexpr std::size_t requests_per_thread = 200;
+    std::atomic<std::size_t> mismatches{0};
+    std::atomic<std::size_t> finished{0};
+    std::vector<std::thread> pool{};
+    pool.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t)
+    {
+        pool.emplace_back(
+            [&, t]
+            {
+                for (std::size_t i = 0; i < requests_per_thread; ++i)
+                {
+                    const auto page = (t + i) % query_strings.size();
+                    const auto response = server.handle({"GET", "/layouts", query_strings[page], ""});
+                    const auto& [from_full, from_pruned] = expected[page];
+                    const auto is = [&response](const rendered& r)
+                    { return response.body == r.body && response.etag == r.etag; };
+                    if (response.status != 200 || (!is(from_full) && !is(from_pruned)))
+                    {
+                        mismatches.fetch_add(1);
+                    }
+                }
+                finished.fetch_add(1);
+            });
+    }
+    std::size_t publishes = 0;
+    while (finished.load() < threads || publishes < 4)
+    {
+        server.publish(publishes % 2 == 0 ? pruned_engine : full_engine);
+        ++publishes;
+    }
+    for (auto& worker : pool)
+    {
+        worker.join();
+    }
+    EXPECT_EQ(mismatches.load(), 0U);
+    EXPECT_EQ(server.snapshot_generation(), publishes);
+
+    // once the swaps stop, every page reflects the engine published last —
+    // for each of the two, so no earlier render can pass for a fresh one
+    for (const auto pruned_last : {true, false})
+    {
+        server.publish(pruned_last ? pruned_engine : full_engine);
+        for (std::size_t page = 0; page < query_strings.size(); ++page)
+        {
+            const auto response = server.handle({"GET", "/layouts", query_strings[page], ""});
+            const auto& last = pruned_last ? expected[page].second : expected[page].first;
+            EXPECT_EQ(response.body, last.body) << query_strings[page];
+            EXPECT_EQ(response.etag, last.etag) << query_strings[page];
+        }
+    }
 }
 
 }  // namespace

@@ -299,72 +299,6 @@ protected:
 
 }  // namespace
 
-// ------------------------------------------------------------ response cache
-
-TEST(ResponseCacheTest, EvictsLeastRecentlyUsed)
-{
-    response_cache cache{2};
-    cache.put("a", "1", "e1");
-    cache.put("b", "2", "e2");
-    ASSERT_TRUE(cache.get("a").has_value());  // refreshes "a"
-    EXPECT_EQ(cache.get("a")->body, "1");
-    EXPECT_EQ(cache.get("a")->etag, "e1");
-    cache.put("c", "3", "e3");  // evicts "b"
-    EXPECT_FALSE(cache.get("b").has_value());
-    EXPECT_TRUE(cache.get("a").has_value());
-    EXPECT_TRUE(cache.get("c").has_value());
-    EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(ResponseCacheTest, ZeroCapacityDisablesCaching)
-{
-    response_cache cache{0};
-    cache.put("a", "1", "e");
-    EXPECT_FALSE(cache.get("a").has_value());
-    EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ResponseCacheTest, EvictsPastByteBound)
-{
-    // each entry: 1-byte key + 8-byte body + 2-byte etag = 11 bytes
-    response_cache cache{100, 24};
-    cache.put("a", "aaaaaaaa", "e1");
-    cache.put("b", "bbbbbbbb", "e2");
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.bytes(), 22u);
-    cache.put("c", "cccccccc", "e3");  // 33 > 24: evicts LRU "a"
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_LE(cache.bytes(), 24u);
-    EXPECT_FALSE(cache.get("a").has_value());
-    EXPECT_TRUE(cache.get("b").has_value());
-    EXPECT_TRUE(cache.get("c").has_value());
-
-    // one oversized body evicts everything else and is then dropped itself
-    cache.put("d", std::string(100, 'd'), "e4");
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.bytes(), 0u);
-}
-
-TEST(ResponseCacheTest, StaleGenerationPutIsRejected)
-{
-    response_cache cache{8};
-    cache.put("a", "old", "e-old", 0);
-    ASSERT_TRUE(cache.get("a").has_value());
-
-    cache.invalidate(1);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.bytes(), 0u);
-
-    // a handler that rendered against the pre-swap snapshot races its put()
-    // in after the invalidation — it must be dropped, not re-admitted
-    cache.put("a", "stale", "e-stale", 0);
-    EXPECT_FALSE(cache.get("a").has_value());
-
-    cache.put("a", "fresh", "e-fresh", 1);
-    ASSERT_TRUE(cache.get("a").has_value());
-    EXPECT_EQ(cache.get("a")->body, "fresh");
-}
-
 // --------------------------------------------------------- socketless routes
 
 TEST_F(server_fixture, HandleRoutesWithoutSockets)
@@ -423,7 +357,7 @@ TEST_F(server_fixture, HandleAnswersConditionalRequestsWith304)
     EXPECT_EQ(server.handle(revisit).status, 304);
 }
 
-TEST_F(server_fixture, PublishSwapsSnapshotAndInvalidatesCache)
+TEST_F(server_fixture, PublishSwapsSnapshot)
 {
     catalog_server server{*engine};
     EXPECT_EQ(server.snapshot_generation(), 0u);
@@ -431,8 +365,36 @@ TEST_F(server_fixture, PublishSwapsSnapshotAndInvalidatesCache)
     const auto before = server.handle({"GET", "/benchmarks", "", ""});
     ASSERT_EQ(before.status, 200);
 
+    // a page the snapshot does not hold is rendered by the engine on every
+    // request (one server.cache_misses each), and the renders agree
+    const std::string page_query_string = "name=2%3A1%20MUX&limit=1";
+    const auto page = page_query::from_query_string(page_query_string);
+    for (const auto& held : default_page_queries())
+    {
+        ASSERT_NE(held.cache_key(), page.cache_key());
+    }
+    auto& renders = tel::registry::instance().get_counter("server.cache_misses");
+    const auto renders_before = renders.value();
+    const auto page_before = server.handle({"GET", "/layouts", page_query_string, ""});
+    const auto page_again = server.handle({"GET", "/layouts", page_query_string, ""});
+    ASSERT_EQ(page_before.status, 200);
+    EXPECT_EQ(page_again.status, 200);
+    EXPECT_EQ(page_again.body, page_before.body);
+    EXPECT_EQ(page_again.etag, page_before.etag);
+    EXPECT_EQ(renders.value() - renders_before, 2u);
+
     // regeneration grew the catalog: a fresh engine over a superset catalog
+    // with a new network and one more layout the page selects
     catalog.add_network("EPFL", "xor5", bm::mux21());
+    cat::layout_record extra{};
+    extra.benchmark_set = "Trindade16";
+    extra.benchmark_name = "2:1 MUX";
+    extra.library = cat::gate_library_kind::qca_one;
+    extra.algorithm = "exact";
+    extra.runtime = 0.3;
+    extra.layout = pd::ortho(bm::mux21());
+    extra.clocking = extra.layout.clocking().name();
+    catalog.add_layout(extra);
     auto regrown = std::make_shared<query_engine>(catalog);
     server.publish(regrown);
 
@@ -443,10 +405,20 @@ TEST_F(server_fixture, PublishSwapsSnapshotAndInvalidatesCache)
     EXPECT_NE(after.etag, before.etag);
     EXPECT_EQ(json_value::parse(after.body).at("count").as_u64(), 2u);
 
-    // the old validator no longer matches — the revisit re-downloads
+    const auto page_after = server.handle({"GET", "/layouts", page_query_string, ""});
+    ASSERT_EQ(page_after.status, 200);
+    EXPECT_EQ(page_after.body, page_json_string(regrown->run(page)));
+    EXPECT_EQ(page_after.etag, make_etag(page_after.body));
+    EXPECT_NE(page_after.etag, page_before.etag);
+    EXPECT_EQ(json_value::parse(page_after.body).at("total").as_u64(), 3u);
+
+    // the old validators no longer match — the revisits re-download
     http_request revisit{"GET", "/benchmarks", "", ""};
     revisit.if_none_match = "\"" + before.etag + "\"";
     EXPECT_EQ(server.handle(revisit).status, 200);
+    http_request page_revisit{"GET", "/layouts", page_query_string, ""};
+    page_revisit.if_none_match = "\"" + page_before.etag + "\"";
+    EXPECT_EQ(server.handle(page_revisit).status, 200);
 }
 
 // -------------------------------------------------------------- HTTP parsing

@@ -1,6 +1,7 @@
 #include "telemetry/trace_export.hpp"
 
 #include "benchmarks/functions.hpp"
+#include "common/taskrt/taskrt.hpp"
 #include "common/types.hpp"
 #include "physical_design/hexagonalization.hpp"
 #include "physical_design/ortho.hpp"
@@ -47,6 +48,10 @@ protected:
     {
         tel::set_trace_recording(false);
         tel::registry::instance().reset();
+        // a test that pinned the task runtime's thread count hands automatic
+        // resolution back
+        trt::set_thread_count(0);
+        trt::shutdown();
     }
 };
 
@@ -260,6 +265,9 @@ TEST_F(trace_fixture, CapturesPortfolioAlgorithmAndServerSpans)
 
 TEST_F(trace_fixture, ParallelPortfolioCombosNestUnderThePortfolioRoot)
 {
+    // combos overlap only on a multi-threaded runtime: pin one for the test,
+    // also on a 1-core host or under MNT_THREADS=1 (TearDown restores it)
+    trt::set_thread_count(3);
     tel::set_enabled(true);
 
     pd::portfolio_params params{};
