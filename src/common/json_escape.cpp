@@ -1,23 +1,11 @@
-#pragma once
-
-/// \file text_escape.hpp
-/// \brief Internal string-escaping helpers shared by the telemetry
-///        exporters (event log JSONL, Prometheus exposition, Chrome trace
-///        JSON). Mirrors the UTF-8 validation contract of
-///        mnt::cat::json_escape — duplicated here, once, so the telemetry
-///        layer stays dependency-free below src/core/.
+#include "common/json_escape.hpp"
 
 #include <cstdio>
-#include <string>
-#include <string_view>
 
-namespace mnt::tel::detail
+namespace mnt
 {
 
-/// Byte length of the UTF-8 sequence starting at \p i, or 0 when the bytes
-/// at \p i do not begin a valid (shortest-form, non-surrogate, <= U+10FFFF)
-/// sequence.
-inline std::size_t utf8_sequence_length(const std::string_view raw, const std::size_t i)
+std::size_t utf8_sequence_length(const std::string_view raw, const std::size_t i)
 {
     const auto byte = [&](const std::size_t k) { return static_cast<unsigned char>(raw[k]); };
     const auto is_continuation = [&](const std::size_t k)
@@ -32,13 +20,17 @@ inline std::size_t utf8_sequence_length(const std::string_view raw, const std::s
     {
         return lead >= 0xC2U && is_continuation(i + 1) ? 2 : 0;
     }
-    if ((lead & 0xF0U) == 0xE0U)  // 3-byte sequence minus surrogates
+    if ((lead & 0xF0U) == 0xE0U)  // 3-byte sequence, U+0800..U+FFFF minus surrogates
     {
         if (!is_continuation(i + 1) || !is_continuation(i + 2))
         {
             return 0;
         }
-        if ((lead == 0xE0U && byte(i + 1) < 0xA0U) || (lead == 0xEDU && byte(i + 1) >= 0xA0U))
+        if (lead == 0xE0U && byte(i + 1) < 0xA0U)  // overlong
+        {
+            return 0;
+        }
+        if (lead == 0xEDU && byte(i + 1) >= 0xA0U)  // UTF-16 surrogate range
         {
             return 0;
         }
@@ -50,7 +42,11 @@ inline std::size_t utf8_sequence_length(const std::string_view raw, const std::s
         {
             return 0;
         }
-        if ((lead == 0xF0U && byte(i + 1) < 0x90U) || lead > 0xF4U || (lead == 0xF4U && byte(i + 1) >= 0x90U))
+        if (lead == 0xF0U && byte(i + 1) < 0x90U)  // overlong
+        {
+            return 0;
+        }
+        if (lead > 0xF4U || (lead == 0xF4U && byte(i + 1) >= 0x90U))  // beyond U+10FFFF
         {
             return 0;
         }
@@ -59,9 +55,7 @@ inline std::size_t utf8_sequence_length(const std::string_view raw, const std::s
     return 0;  // continuation byte in lead position, or 0xF8..0xFF
 }
 
-/// JSON string escaping with UTF-8 validation: control bytes become \uXXXX,
-/// invalid sequences become (escaped) U+FFFD, valid UTF-8 passes through.
-inline std::string json_escape_utf8(const std::string_view raw)
+std::string json_escape(const std::string_view raw)
 {
     std::string out;
     out.reserve(raw.size() + 8);
@@ -79,7 +73,7 @@ inline std::string json_escape_utf8(const std::string_view raw)
             case '\t': out += "\\t"; ++i; continue;
             default: break;
         }
-        if (c < 0x20 || c == 0x7F)
+        if (c < 0x20 || c == 0x7F)  // remaining control characters, incl. DEL
         {
             char buffer[8];
             std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
@@ -90,36 +84,17 @@ inline std::string json_escape_utf8(const std::string_view raw)
         const auto length = utf8_sequence_length(raw, i);
         if (length == 0)
         {
+            // invalid byte: substitute U+FFFD (escaped, so the output stays
+            // pure ASCII-or-valid-UTF-8 regardless of input) and resync at
+            // the next byte
             out += "\\ufffd";
             ++i;
             continue;
         }
-        out.append(raw.substr(i, length));
+        out.append(raw.data() + i, length);
         i += length;
     }
     return out;
 }
 
-/// Replaces invalid UTF-8 with the (literal) U+FFFD replacement character
-/// and strips nothing else — the pre-pass for Prometheus label values, whose
-/// own escaping layer only handles backslash, quote and newline.
-inline std::string scrub_utf8(const std::string_view raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (std::size_t i = 0; i < raw.size();)
-    {
-        const auto length = utf8_sequence_length(raw, i);
-        if (length == 0)
-        {
-            out += "\xEF\xBF\xBD";  // U+FFFD
-            ++i;
-            continue;
-        }
-        out.append(raw.substr(i, length));
-        i += length;
-    }
-    return out;
-}
-
-}  // namespace mnt::tel::detail
+}  // namespace mnt

@@ -16,18 +16,6 @@
 namespace mnt::cat
 {
 
-/// Escapes a string for inclusion in a JSON document. The output is always a
-/// valid JSON string body regardless of input:
-///
-/// - `"` and `\` are backslash-escaped; control characters use the short
-///   escapes (\b \f \n \r \t) where they exist and `\u00xx` otherwise
-///   (DEL/0x7F included).
-/// - Well-formed UTF-8 passes through verbatim; every byte that is not part
-///   of a well-formed sequence (bad lead byte, truncated or overlong
-///   sequence, surrogate, > U+10FFFF) is replaced by an escaped U+FFFD
-///   (`�`), one replacement per invalid byte.
-[[nodiscard]] std::string json_escape(const std::string& raw);
-
 /// Writes the catalog index as a JSON document:
 ///
 /// \code{.json}

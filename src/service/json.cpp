@@ -1,6 +1,6 @@
 #include "service/json.hpp"
 
-#include "core/json_export.hpp"
+#include "common/json_escape.hpp"
 
 #include <cctype>
 #include <charconv>
@@ -355,7 +355,7 @@ void dump_value(const json_value& value, std::string& out)
         case json_value::kind::number: out += json_number_string(value.as_number()); break;
         case json_value::kind::string:
             out.push_back('"');
-            out += cat::json_escape(value.as_string());
+            out += json_escape(value.as_string());
             out.push_back('"');
             break;
         case json_value::kind::array:
@@ -386,7 +386,7 @@ void dump_value(const json_value& value, std::string& out)
                 }
                 first = false;
                 out.push_back('"');
-                out += cat::json_escape(key);
+                out += json_escape(key);
                 out += "\":";
                 dump_value(element, out);
             }

@@ -1,6 +1,6 @@
 #include "service/query.hpp"
 
-#include "core/json_export.hpp"
+#include "common/json_escape.hpp"
 #include "io/fgl_writer.hpp"
 #include "service/hash.hpp"
 #include "telemetry/telemetry.hpp"
@@ -902,7 +902,7 @@ std::string page_json_string(const result_page& page)
             {
                 out += first ? "\"" : ",\"";
                 first = false;
-                out += cat::json_escape(value);
+                out += json_escape(value);
                 out += "\":";
                 out += json_number_string(static_cast<double>(count));
             }

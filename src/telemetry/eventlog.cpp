@@ -1,7 +1,7 @@
 #include "telemetry/eventlog.hpp"
 
+#include "common/json_escape.hpp"
 #include "common/types.hpp"
-#include "telemetry/text_escape.hpp"
 
 #include <chrono>
 #include <cstdio>
@@ -15,8 +15,6 @@ namespace mnt::tel
 
 namespace
 {
-
-using detail::json_escape_utf8;
 
 double unix_now_s() noexcept
 {
@@ -63,9 +61,9 @@ std::string log_record_json(const log_record& record)
     line += ", \"severity\": \"";
     line += severity_name(record.severity);
     line += "\", \"component\": \"";
-    line += json_escape_utf8(record.component);
+    line += json_escape(record.component);
     line += "\", \"message\": \"";
-    line += json_escape_utf8(record.message);
+    line += json_escape(record.message);
     line += "\"";
     if (!record.fields.empty())
     {
@@ -74,9 +72,9 @@ std::string log_record_json(const log_record& record)
         for (const auto& [key, value] : record.fields)
         {
             line += first ? "\"" : ", \"";
-            line += json_escape_utf8(key);
+            line += json_escape(key);
             line += "\": \"";
-            line += json_escape_utf8(value);
+            line += json_escape(value);
             line += "\"";
             first = false;
         }

@@ -1,6 +1,6 @@
 #include "telemetry/prometheus.hpp"
 
-#include "telemetry/text_escape.hpp"
+#include "common/json_escape.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -13,6 +13,28 @@ namespace mnt::tel
 
 namespace
 {
+
+/// Replaces invalid UTF-8 with the (literal) U+FFFD replacement character
+/// and strips nothing else — the pre-pass for label values and HELP text,
+/// whose own escaping layer only handles backslash, quote and newline.
+std::string scrub_utf8(const std::string_view raw)
+{
+    std::string out;
+    out.reserve(raw.size());
+    for (std::size_t i = 0; i < raw.size();)
+    {
+        const auto length = utf8_sequence_length(raw, i);
+        if (length == 0)
+        {
+            out += "\xEF\xBF\xBD";  // U+FFFD
+            ++i;
+            continue;
+        }
+        out.append(raw.data() + i, length);
+        i += length;
+    }
+    return out;
+}
 
 /// Prometheus float rendering: shortest round-trippable decimal, with the
 /// format's spellings for the non-finite values.
@@ -128,7 +150,7 @@ private:
     {
         std::string out;
         out.reserve(raw.size());
-        for (const char c : detail::scrub_utf8(raw))
+        for (const char c : scrub_utf8(raw))
         {
             if (c == '\\')
             {
@@ -200,7 +222,7 @@ std::string prometheus_escape_label(const std::string_view value)
 {
     std::string out;
     out.reserve(value.size() + 4);
-    for (const char c : detail::scrub_utf8(value))
+    for (const char c : scrub_utf8(value))
     {
         if (c == '\\')
         {

@@ -1,5 +1,6 @@
 #include "telemetry/report.hpp"
 
+#include "common/json_escape.hpp"
 #include "common/types.hpp"
 
 #include <algorithm>
@@ -14,39 +15,6 @@ namespace mnt::tel
 
 namespace
 {
-
-/// Escapes a string for inclusion in a JSON document (same contract as
-/// cat::json_escape; duplicated here so the telemetry layer stays
-/// dependency-free below src/core/).
-std::string json_escape(const std::string& raw)
-{
-    std::string out;
-    out.reserve(raw.size() + 8);
-    for (const unsigned char c : raw)
-    {
-        switch (c)
-        {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (c < 0x20)
-                {
-                    char buffer[8];
-                    std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-                    out += buffer;
-                }
-                else
-                {
-                    out.push_back(static_cast<char>(c));
-                }
-                break;
-        }
-    }
-    return out;
-}
 
 /// Shortest round-trippable representation of a double that is always valid
 /// JSON (no inf/nan literals: they are clamped to the largest finite value).

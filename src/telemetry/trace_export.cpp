@@ -1,9 +1,9 @@
 #include "telemetry/trace_export.hpp"
 
+#include "common/json_escape.hpp"
 #include "common/provenance.hpp"
 #include "common/types.hpp"
 #include "telemetry/telemetry.hpp"
-#include "telemetry/text_escape.hpp"
 
 #include <algorithm>
 #include <cstdio>
@@ -18,8 +18,6 @@ namespace mnt::tel
 
 namespace
 {
-
-using detail::json_escape_utf8;
 
 /// Microsecond timestamps with sub-microsecond precision preserved.
 std::string format_us(const double us)
@@ -39,10 +37,10 @@ void write_chrome_trace(std::ostream& out, const chrome_trace_options& options)
     const auto& build = prov::build_info();
 
     out << "{\"displayTimeUnit\": \"ms\", \"otherData\": {"
-        << "\"tool\": \"" << json_escape_utf8(options.process_name) << "\""
-        << ", \"version\": \"" << json_escape_utf8(build.version) << "\""
-        << ", \"compiler\": \"" << json_escape_utf8(build.compiler) << "\""
-        << ", \"build_type\": \"" << json_escape_utf8(build.build_type) << "\""
+        << "\"tool\": \"" << json_escape(options.process_name) << "\""
+        << ", \"version\": \"" << json_escape(build.version) << "\""
+        << ", \"compiler\": \"" << json_escape(build.compiler) << "\""
+        << ", \"build_type\": \"" << json_escape(build.build_type) << "\""
         << ", \"dropped_events\": " << dropped << "}, \"traceEvents\": [";
 
     bool first = true;
@@ -58,7 +56,7 @@ void write_chrome_trace(std::ostream& out, const chrome_trace_options& options)
     // process/thread metadata first, so viewers label the lanes
     comma();
     out << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
-        << "\"args\": {\"name\": \"" << json_escape_utf8(options.process_name) << "\"}}";
+        << "\"args\": {\"name\": \"" << json_escape(options.process_name) << "\"}}";
 
     std::set<std::uint32_t> tids;
     for (const auto& ev : events)
@@ -76,12 +74,12 @@ void write_chrome_trace(std::ostream& out, const chrome_trace_options& options)
     for (const auto& ev : events)
     {
         comma();
-        out << "{\"name\": \"" << json_escape_utf8(ev.name) << "\", \"cat\": \"span\", \"ph\": \"X\", "
+        out << "{\"name\": \"" << json_escape(ev.name) << "\", \"cat\": \"span\", \"ph\": \"X\", "
             << "\"ts\": " << format_us(ev.start_us) << ", \"dur\": " << format_us(ev.dur_us)
             << ", \"pid\": 1, \"tid\": " << ev.tid;
         if (!ev.args.empty())
         {
-            out << ", \"args\": {\"detail\": \"" << json_escape_utf8(ev.args) << "\"}";
+            out << ", \"args\": {\"detail\": \"" << json_escape(ev.args) << "\"}";
         }
         out << '}';
     }

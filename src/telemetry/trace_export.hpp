@@ -12,7 +12,7 @@
 /// - `MNT_TRACE_OUT=<path>` in the environment turns recording on at process
 ///   start; the CLIs call \ref export_trace_if_requested on exit to write
 ///   the file.
-/// - `--trace-out <path>` on mnt_bench / mnt_bench_serve does the same
+/// - `--trace-out <path>` on mnt_bench_cli / mnt_bench_serve does the same
 ///   without touching the environment (they call
 ///   \ref set_trace_recording(true) up front and
 ///   \ref write_chrome_trace_file at the end).

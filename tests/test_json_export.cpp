@@ -1,6 +1,7 @@
 #include "core/json_export.hpp"
 
 #include "benchmarks/functions.hpp"
+#include "common/json_escape.hpp"
 #include "core/filters.hpp"
 #include "physical_design/ortho.hpp"
 

@@ -270,6 +270,21 @@ TEST_F(TelemetryTest, JsonReportContainsAllSections)
     EXPECT_LT(json.find("\"children\": ["), json.find("\"name\": \"json/inner\""));
 }
 
+TEST_F(TelemetryTest, JsonReportReplacesInvalidUtf8)
+{
+    tel::add_event({"utf8", "label", "kind", "bad byte \xff here", 0.0});
+    {
+        MNT_SPAN("span \xff name");
+    }
+
+    const auto json = tel::report_json_string(tel::capture_report());
+    // the report is strict JSON in UTF-8: a stray 0xFF byte must not leak
+    // through, it becomes an escaped U+FFFD like in every other JSON writer
+    EXPECT_EQ(json.find('\xff'), std::string::npos);
+    EXPECT_NE(json.find("bad byte \\ufffd here"), std::string::npos);
+    EXPECT_NE(json.find("span \\ufffd name"), std::string::npos);
+}
+
 TEST_F(TelemetryTest, JsonFileRoundTrip)
 {
     tel::count("file.counter", 4);
