@@ -127,12 +127,12 @@ private:
         // center dot pair
         if (data.type == gate_type::pi)
         {
-            put(tile, 3, 3, cell_kind::input, data.io_name);
+            put(tile, 3, 3, cell_kind::input, source.io_name_of(tile));
             put(tile, 4, 3, cell_kind::normal, {}, layer);
         }
         else if (data.type == gate_type::po)
         {
-            put(tile, 3, 3, cell_kind::output, data.io_name);
+            put(tile, 3, 3, cell_kind::output, source.io_name_of(tile));
             put(tile, 4, 3, cell_kind::normal, {}, layer);
         }
         else

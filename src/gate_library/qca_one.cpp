@@ -131,7 +131,7 @@ private:
         {
             case gate_type::pi:
             {
-                put(tile, 2, 2, cell_kind::input, data.io_name);
+                put(tile, 2, 2, cell_kind::input, source.io_name_of(tile));
                 for (const auto d : out_dirs)
                 {
                     put_arm(tile, d);
@@ -140,7 +140,7 @@ private:
             }
             case gate_type::po:
             {
-                put(tile, 2, 2, cell_kind::output, data.io_name);
+                put(tile, 2, 2, cell_kind::output, source.io_name_of(tile));
                 for (const auto d : in_dirs)
                 {
                     put_arm(tile, d);

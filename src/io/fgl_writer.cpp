@@ -47,9 +47,9 @@ void write_fgl(const lyt::gate_level_layout& layout, std::ostream& output)
         ++num_records;
         auto& gate = gates.add("gate");
         gate.add("type", std::string{ntk::gate_type_name(d.type)});
-        if (!d.io_name.empty())
+        if (const auto& name = layout.io_name_of(c); !name.empty())
         {
-            gate.add("name", d.io_name);
+            gate.add("name", name);
         }
         add_loc(gate, c);
         if (!d.incoming.empty())

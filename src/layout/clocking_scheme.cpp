@@ -116,19 +116,9 @@ clocking_scheme clocking_scheme::open()
     return clocking_scheme{clocking_kind::open};
 }
 
-clocking_kind clocking_scheme::kind() const noexcept
-{
-    return scheme_kind;
-}
-
 std::string clocking_scheme::name() const
 {
     return clocking_name(scheme_kind);
-}
-
-bool clocking_scheme::is_regular() const noexcept
-{
-    return scheme_kind != clocking_kind::open;
 }
 
 std::uint8_t clocking_scheme::zone_at(const std::int32_t x, const std::int32_t y) const noexcept

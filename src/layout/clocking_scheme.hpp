@@ -69,13 +69,19 @@ public:
     static clocking_scheme open();
 
     /// The scheme's kind.
-    [[nodiscard]] clocking_kind kind() const noexcept;
+    [[nodiscard]] clocking_kind kind() const noexcept
+    {
+        return scheme_kind;
+    }
 
     /// The scheme's display name.
     [[nodiscard]] std::string name() const;
 
     /// True if zones come from a periodic cutout (everything except OPEN).
-    [[nodiscard]] bool is_regular() const noexcept;
+    [[nodiscard]] bool is_regular() const noexcept
+    {
+        return scheme_kind != clocking_kind::open;
+    }
 
     /// Clock zone of tile \p c (z is ignored: a crossing shares the zone of
     /// its ground tile). For OPEN schemes, returns the assigned zone or 0 if

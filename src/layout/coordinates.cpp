@@ -31,29 +31,6 @@ std::string coordinate::to_string() const
     return "(" + std::to_string(x) + ", " + std::to_string(y) + ", " + std::to_string(z) + ")";
 }
 
-neighbor_list planar_neighbors(const coordinate& c, const layout_topology topo)
-{
-    neighbor_list ns;
-    ns.push_back({c.x + 1, c.y, c.z});
-    if (topo == layout_topology::cartesian)
-    {
-        ns.push_back({c.x, c.y + 1, c.z});
-        ns.push_back({c.x - 1, c.y, c.z});
-        ns.push_back({c.x, c.y - 1, c.z});
-        return ns;
-    }
-
-    // even-row offset hexagons, pointy-top; odd rows shifted right, so the
-    // diagonal neighbors of an odd row lie one column further east
-    const auto shift = c.y & 1;
-    ns.push_back({c.x - 1, c.y, c.z});
-    ns.push_back({c.x - 1 + shift, c.y - 1, c.z});
-    ns.push_back({c.x + shift, c.y - 1, c.z});
-    ns.push_back({c.x - 1 + shift, c.y + 1, c.z});
-    ns.push_back({c.x + shift, c.y + 1, c.z});
-    return ns;
-}
-
 bool are_adjacent(const coordinate& a, const coordinate& b, const layout_topology topo)
 {
     for (const auto& n : planar_neighbors(coordinate{a.x, a.y, 0}, topo))

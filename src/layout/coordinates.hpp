@@ -188,7 +188,28 @@ using neighbor_list = coordinate_list<6>;
 /// Cartesian: E, S, W, N. Hexagonal, even row: (x+1, y), (x-1, y),
 /// (x-1, y-1), (x, y-1), (x-1, y+1), (x, y+1); odd row: (x+1, y), (x-1, y),
 /// (x, y-1), (x+1, y-1), (x, y+1), (x+1, y+1).
-[[nodiscard]] neighbor_list planar_neighbors(const coordinate& c, layout_topology topo);
+[[nodiscard]] inline neighbor_list planar_neighbors(const coordinate& c, const layout_topology topo) noexcept
+{
+    neighbor_list ns;
+    ns.push_back({c.x + 1, c.y, c.z});
+    if (topo == layout_topology::cartesian)
+    {
+        ns.push_back({c.x, c.y + 1, c.z});
+        ns.push_back({c.x - 1, c.y, c.z});
+        ns.push_back({c.x, c.y - 1, c.z});
+        return ns;
+    }
+
+    // even-row offset hexagons, pointy-top; odd rows shifted right, so the
+    // diagonal neighbors of an odd row lie one column further east
+    const auto shift = c.y & 1;
+    ns.push_back({c.x - 1, c.y, c.z});
+    ns.push_back({c.x - 1 + shift, c.y - 1, c.z});
+    ns.push_back({c.x + shift, c.y - 1, c.z});
+    ns.push_back({c.x - 1 + shift, c.y + 1, c.z});
+    ns.push_back({c.x + shift, c.y + 1, c.z});
+    return ns;
+}
 
 /// True if \p a and \p b occupy planar-adjacent grid positions (z ignored).
 [[nodiscard]] bool are_adjacent(const coordinate& a, const coordinate& b, layout_topology topo);

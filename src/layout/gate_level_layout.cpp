@@ -9,6 +9,8 @@
 namespace mnt::lyt
 {
 
+static_assert(ntk::gate_arity(ntk::gate_type::maj3) == gate_level_layout::max_fanin);
+
 gate_level_layout::gate_level_layout(std::string layout_name, const layout_topology topology_kind,
                                      clocking_scheme clock_scheme, const std::uint32_t width,
                                      const std::uint32_t height) :
@@ -26,6 +28,29 @@ gate_level_layout::gate_level_layout(std::string layout_name, const layout_topol
         scheme.kind() != clocking_kind::row)
     {
         throw precondition_error{"gate_level_layout: hexagonal layouts support only ROW or OPEN clocking"};
+    }
+    if (scheme.is_regular())
+    {
+        // zones repeat every 4 tiles and the neighbor offsets depend only on
+        // the row parity, so tiles congruent mod 4 share their clocked
+        // directions: tabulate them from the scheme itself
+        for (std::int32_t y = 0; y < 4; ++y)
+        {
+            for (std::int32_t x = 0; x < 4; ++x)
+            {
+                const coordinate c{x, y};
+                const auto ns = planar_neighbors(c, topo);
+                std::uint8_t out = 0;
+                std::uint8_t in = 0;
+                for (std::size_t k = 0; k < ns.size(); ++k)
+                {
+                    out |= static_cast<std::uint8_t>(scheme.is_incoming_clocked(ns[k], c) ? 1u << k : 0u);
+                    in |= static_cast<std::uint8_t>(scheme.is_incoming_clocked(c, ns[k]) ? 1u << k : 0u);
+                }
+                out_dirs[static_cast<std::size_t>(y)][static_cast<std::size_t>(x)] = out;
+                in_dirs[static_cast<std::size_t>(y)][static_cast<std::size_t>(x)] = in;
+            }
+        }
     }
     grid.resize(static_cast<std::size_t>(2) * w * h);
 }
@@ -59,15 +84,9 @@ const clocking_scheme& gate_level_layout::clocking() const noexcept
     return scheme;
 }
 
-clocking_scheme& gate_level_layout::clocking_mutable() noexcept
+void gate_level_layout::assign_clock(const coordinate& c, const std::uint8_t zone)
 {
-    return scheme;
-}
-
-bool gate_level_layout::within_bounds(const coordinate& c) const noexcept
-{
-    return c.x >= 0 && c.y >= 0 && c.x < static_cast<std::int32_t>(w) && c.y < static_cast<std::int32_t>(h) &&
-           c.z < 2;
+    scheme.assign_clock(c, zone);
 }
 
 void gate_level_layout::resize(const std::uint32_t width, const std::uint32_t height)
@@ -111,7 +130,7 @@ void gate_level_layout::resize(const std::uint32_t width, const std::uint32_t he
                 {
                     continue;
                 }
-                remapped[(static_cast<std::size_t>(z) * height + y) * width + x] = std::move(slot);
+                remapped[(static_cast<std::size_t>(z) * height + y) * width + x] = slot;
             }
         }
     }
@@ -231,7 +250,7 @@ void gate_level_layout::shrink_to_fit()
                         out = shift(out);
                     }
                     remapped[(static_cast<std::size_t>(to.z) * new_h + static_cast<std::size_t>(to.y)) * new_w +
-                             static_cast<std::size_t>(to.x)] = std::move(slot);
+                             static_cast<std::size_t>(to.x)] = slot;
                 }
             }
         }
@@ -263,6 +282,13 @@ void gate_level_layout::shrink_to_fit()
         }
 
         grid = std::move(remapped);
+        std::unordered_map<coordinate, std::string, coordinate_hash> shifted_names;
+        shifted_names.reserve(names.size());
+        for (auto& [c, name] : names)
+        {
+            shifted_names.emplace(shift(c), std::move(name));
+        }
+        names = std::move(shifted_names);
         for (auto& c : pis)
         {
             c = shift(c);
@@ -301,7 +327,10 @@ void gate_level_layout::place(const coordinate& c, const ntk::gate_type t, const
     }
 
     slot.data.type = t;
-    slot.data.io_name = io_name;
+    if (!io_name.empty())
+    {
+        names.insert_or_assign(c, io_name);
+    }
     ++occupied_count;
 
     if (t == ntk::gate_type::pi)
@@ -347,12 +376,7 @@ void gate_level_layout::disconnect(const coordinate& src, const coordinate& dst)
 {
     if (occupied_at(dst))
     {
-        auto& in = slot_at(dst).data.incoming;
-        const auto pos_it = std::find(in.begin(), in.end(), src);
-        if (pos_it != in.end())
-        {
-            in.erase(pos_it);
-        }
+        slot_at(dst).data.incoming.erase(src);
     }
     if (within_bounds(src))
     {
@@ -360,20 +384,28 @@ void gate_level_layout::disconnect(const coordinate& src, const coordinate& dst)
     }
 }
 
-void gate_level_layout::set_incoming_order(const coordinate& dst, const std::vector<coordinate>& order)
+void gate_level_layout::set_incoming_order(const coordinate& dst, const std::span<const coordinate> order)
 {
     check_occupied(dst, "set_incoming_order");
     auto& in = slot_at(dst).data.incoming;
-    auto sorted_current = in;
-    auto sorted_order = order;
-    std::sort(sorted_current.begin(), sorted_current.end());
-    std::sort(sorted_order.begin(), sorted_order.end());
-    if (sorted_current != sorted_order)
+    // a permutation has the same size and the same multiplicity of every
+    // entry; at most max_fanin entries, so counting beats sorting copies
+    const auto count_in = [](const auto& list, const coordinate& c)
+    { return std::count(list.begin(), list.end(), c); };
+    const bool permutation = order.size() == in.size() &&
+                             std::all_of(order.begin(), order.end(),
+                                         [&](const coordinate& c) { return count_in(order, c) == count_in(in, c); });
+    if (!permutation)
     {
         throw precondition_error{"set_incoming_order: order is not a permutation of the incoming list of " +
                                  dst.to_string()};
     }
-    in = order;
+    fanin_list reordered;  // order may view this very list
+    for (const auto& c : order)
+    {
+        reordered.push_back(c);
+    }
+    in = reordered;
 }
 
 void gate_level_layout::clear_tile(const coordinate& c)
@@ -384,8 +416,9 @@ void gate_level_layout::clear_tile(const coordinate& c)
     }
     auto& slot = slot_at(c);
 
-    // sever incoming connections
-    for (const auto& src : std::vector<coordinate>{slot.data.incoming})
+    // sever incoming connections (disconnect edits the list: walk a copy)
+    const auto fanins = slot.data.incoming;
+    for (const auto& src : fanins)
     {
         disconnect(src, c);
     }
@@ -397,6 +430,10 @@ void gate_level_layout::clear_tile(const coordinate& c)
 
     const auto t = slot.data.type;
     slot.data = tile_data{};
+    if (!names.empty())
+    {
+        names.erase(c);
+    }
     --occupied_count;
     if (t == ntk::gate_type::pi)
     {
@@ -446,10 +483,16 @@ void gate_level_layout::move_tile(const coordinate& from, const coordinate& to)
     }
 
     auto& dst_slot = slot_at(to);
-    dst_slot.data = std::move(src_slot.data);
-    dst_slot.outs = src_slot.outs;
-    src_slot.data = tile_data{};
-    src_slot.outs.clear();
+    dst_slot = src_slot;
+    src_slot = grid_slot{};
+    if (!names.empty())
+    {
+        if (auto node = names.extract(from); !node.empty())
+        {
+            node.key() = to;
+            names.insert(std::move(node));
+        }
+    }
 
     const auto t = dst_slot.data.type;
     if (t == ntk::gate_type::pi)
@@ -462,41 +505,17 @@ void gate_level_layout::move_tile(const coordinate& from, const coordinate& to)
     }
 }
 
-bool gate_level_layout::is_empty_tile(const coordinate& c) const
-{
-    return !occupied_at(c);
-}
-
-bool gate_level_layout::has_tile(const coordinate& c) const
-{
-    return occupied_at(c);
-}
-
 const gate_level_layout::tile_data& gate_level_layout::get(const coordinate& c) const
 {
     check_occupied(c, "get");
     return slot_at(c).data;
 }
 
-ntk::gate_type gate_level_layout::type_of(const coordinate& c) const
+const std::string& gate_level_layout::io_name_of(const coordinate& c) const
 {
-    return occupied_at(c) ? slot_at(c).data.type : ntk::gate_type::none;
-}
-
-const std::vector<coordinate>& gate_level_layout::incoming_of(const coordinate& c) const
-{
-    static const std::vector<coordinate> empty{};
-    return occupied_at(c) ? slot_at(c).data.incoming : empty;
-}
-
-std::span<const coordinate> gate_level_layout::outgoing_of(const coordinate& c) const
-{
-    if (!occupied_at(c))
-    {
-        return {};
-    }
-    const auto& slot = slot_at(c);
-    return {slot.outs.data(), slot.outs.size()};
+    static const std::string none{};
+    const auto it = names.find(c);
+    return it == names.cend() ? none : it->second;
 }
 
 const std::vector<coordinate>& gate_level_layout::pi_tiles() const noexcept
@@ -557,25 +576,12 @@ std::uint8_t gate_level_layout::clock_number(const coordinate& c) const
     return scheme.clock_number(c);
 }
 
-neighbor_list gate_level_layout::outgoing_clocked(const coordinate& c) const
+neighbor_list gate_level_layout::open_clocked(const coordinate& c, const bool outgoing) const
 {
     neighbor_list result;
     for (const auto& n : planar_neighbors(c.ground(), topo))
     {
-        if (within_bounds(n) && scheme.is_incoming_clocked(n, c))
-        {
-            result.push_back(n);
-        }
-    }
-    return result;
-}
-
-neighbor_list gate_level_layout::incoming_clocked(const coordinate& c) const
-{
-    neighbor_list result;
-    for (const auto& n : planar_neighbors(c.ground(), topo))
-    {
-        if (within_bounds(n) && scheme.is_incoming_clocked(c, n))
+        if (within_bounds(n) && (outgoing ? scheme.is_incoming_clocked(n, c) : scheme.is_incoming_clocked(c, n)))
         {
             result.push_back(n);
         }

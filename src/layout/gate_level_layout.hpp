@@ -15,21 +15,32 @@
 /// construction; \ref mnt::ver::gate_level_drc performs the full design-rule
 /// check (adjacency, clocking, fanin/fanout capacities, crossing rules).
 ///
-/// Storage is a dense flat grid: one slot per (x, y, z) cell, indexed
-/// (z * height + y) * width + x, with the gate type doubling as the
-/// occupancy flag (\ref ntk::gate_type::none = empty) and fixed-capacity
-/// inline fanout lists (FCN fanout is at most 2). All point queries are
-/// O(1) array lookups, full traversals are linear row-major scans, and
-/// \ref tiles_sorted needs no sort — the scan order *is* the documented
-/// (y, x, z) order.
+/// Storage is a dense flat grid: one 72-byte, trivially copyable slot per
+/// (x, y, z) cell, indexed (z * height + y) * width + x, with the gate type
+/// doubling as the occupancy flag (\ref ntk::gate_type::none = empty) and
+/// fixed-capacity inline fanin and fanout lists (gate arity is at most 3,
+/// FCN fanout at most 2). Gate names live in a side table keyed by tile,
+/// since usually only PIs and POs carry one. All point queries are O(1) array
+/// lookups defined in this header, full traversals are linear row-major
+/// scans, and \ref tiles_sorted needs no sort — the scan order *is* the
+/// documented (y, x, z) order.
+///
+/// Under a regular clocking scheme the zones repeat every 4 tiles in x and
+/// y, so which planar neighbors a tile may feed (or be fed by) depends only
+/// on (x mod 4, y mod 4). The constructor tabulates that once as neighbor
+/// bitmasks, and \ref outgoing_clocked / \ref incoming_clocked answer from
+/// the table; OPEN layouts compare assigned zones per query.
 
 #include "layout/clocking_scheme.hpp"
 #include "layout/coordinates.hpp"
 #include "network/gate_type.hpp"
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 namespace mnt::lyt
@@ -39,14 +50,26 @@ namespace mnt::lyt
 class gate_level_layout
 {
 public:
+    /// Maximum number of fanins per tile: the largest gate arity (MAJ).
+    /// \ref connect enforces the per-gate-type budget.
+    static constexpr std::size_t max_fanin = 3;
+
+    /// Maximum number of outgoing connections per tile. FCN gates drive one
+    /// successor, fanout gates two — the inline fanout lists of the dense
+    /// grid are sized accordingly (the DRC additionally enforces the
+    /// per-gate-type budget).
+    static constexpr std::size_t max_fanout = 2;
+
+    /// An inline fanin list; callers that edit a tile's fanins while walking
+    /// them copy the list into one.
+    using fanin_list = coordinate_list<max_fanin>;
+
     /// Payload of an occupied tile.
     struct tile_data
     {
         ntk::gate_type type{ntk::gate_type::none};
         /// Fanin tiles in slot order (slot 0 first).
-        std::vector<coordinate> incoming;
-        /// PI/PO name; empty for other gate types.
-        std::string io_name;
+        fanin_list incoming;
     };
 
     /// Creates an empty layout of the given dimensions.
@@ -75,11 +98,20 @@ public:
 
     [[nodiscard]] const clocking_scheme& clocking() const noexcept;
 
-    /// Mutable access for OPEN schemes (per-tile zone assignment).
-    [[nodiscard]] clocking_scheme& clocking_mutable() noexcept;
+    /// Assigns clock zone \p zone to the ground position of \p c. Only OPEN
+    /// layouts take per-tile zones; a regular scheme stays fixed for the life
+    /// of the layout, which keeps its direction tables valid.
+    ///
+    /// \throws precondition_error on a regular scheme, a zone >= 4 or
+    ///         negative coordinates
+    void assign_clock(const coordinate& c, std::uint8_t zone);
 
     /// True if (x, y) lies within the current bounds and z < 2.
-    [[nodiscard]] bool within_bounds(const coordinate& c) const noexcept;
+    [[nodiscard]] bool within_bounds(const coordinate& c) const noexcept
+    {
+        return c.x >= 0 && c.y >= 0 && c.x < static_cast<std::int32_t>(w) && c.y < static_cast<std::int32_t>(h) &&
+               c.z < 2;
+    }
 
     /// Grows or shrinks the bounding dimensions. Validate-then-commit: on
     /// failure the layout (tiles, connectivity, PI/PO lists and per-tile
@@ -101,17 +133,13 @@ public:
     // ------------------------------------------------------- construction
 
     /// Places a gate of type \p t on tile \p c. Crossing-layer tiles
-    /// (z == 1) may only host \ref ntk::gate_type::buf.
+    /// (z == 1) may only host \ref ntk::gate_type::buf. A non-empty
+    /// \p io_name is kept for the tile whatever its type (see
+    /// \ref io_name_of).
     ///
     /// \throws precondition_error if the tile is occupied, out of bounds,
     ///         the type is none/const, or the crossing-layer rule is violated
     void place(const coordinate& c, ntk::gate_type t, const std::string& io_name = {});
-
-    /// Maximum number of outgoing connections per tile. FCN gates drive one
-    /// successor, fanout gates two — the inline fanout lists of the dense
-    /// grid are sized accordingly (the DRC additionally enforces the
-    /// per-gate-type budget).
-    static constexpr std::size_t max_fanout = 2;
 
     /// Declares that the output of tile \p src feeds the next free fanin
     /// slot of tile \p dst.
@@ -131,21 +159,28 @@ public:
     ///
     /// \throws precondition_error if \p order is not a permutation of the
     ///         current incoming list
-    void set_incoming_order(const coordinate& dst, const std::vector<coordinate>& order);
+    void set_incoming_order(const coordinate& dst, std::span<const coordinate> order);
 
     /// Removes the gate on \p c together with all its connections.
     void clear_tile(const coordinate& c);
 
     /// Relocates the gate on \p from to the empty tile \p to, preserving all
-    /// connections (coordinates in neighbor fanin lists are patched).
+    /// connections (coordinates in neighbor fanin lists are patched) and its
+    /// name.
     ///
     /// \throws precondition_error if \p from is empty or \p to is occupied
     void move_tile(const coordinate& from, const coordinate& to);
 
     // ------------------------------------------------------------ queries
 
-    [[nodiscard]] bool is_empty_tile(const coordinate& c) const;
-    [[nodiscard]] bool has_tile(const coordinate& c) const;
+    [[nodiscard]] bool is_empty_tile(const coordinate& c) const noexcept
+    {
+        return !occupied_at(c);
+    }
+    [[nodiscard]] bool has_tile(const coordinate& c) const noexcept
+    {
+        return occupied_at(c);
+    }
 
     /// Read access to an occupied tile.
     ///
@@ -153,15 +188,41 @@ public:
     [[nodiscard]] const tile_data& get(const coordinate& c) const;
 
     /// Gate type on \p c; \ref ntk::gate_type::none for empty tiles.
-    [[nodiscard]] ntk::gate_type type_of(const coordinate& c) const;
+    [[nodiscard]] ntk::gate_type type_of(const coordinate& c) const noexcept
+    {
+        return within_bounds(c) ? slot_at(c).data.type : ntk::gate_type::none;
+    }
 
-    /// Fanin tiles of \p c in slot order (empty vector for empty tiles).
-    [[nodiscard]] const std::vector<coordinate>& incoming_of(const coordinate& c) const;
+    /// Fanin tiles of \p c in slot order (empty span for empty tiles). The
+    /// span views the tile's inline fanin list; it is invalidated by any
+    /// mutation of the layout.
+    [[nodiscard]] std::span<const coordinate> incoming_of(const coordinate& c) const noexcept
+    {
+        if (!occupied_at(c))
+        {
+            return {};
+        }
+        const auto& in = slot_at(c).data.incoming;
+        return {in.data(), in.size()};
+    }
 
     /// Tiles fed by \p c in connection order (empty span for empty tiles).
     /// The span views the tile's inline fanout list; it is invalidated by
     /// any mutation of the layout.
-    [[nodiscard]] std::span<const coordinate> outgoing_of(const coordinate& c) const;
+    [[nodiscard]] std::span<const coordinate> outgoing_of(const coordinate& c) const noexcept
+    {
+        if (!occupied_at(c))
+        {
+            return {};
+        }
+        const auto& outs = slot_at(c).outs;
+        return {outs.data(), outs.size()};
+    }
+
+    /// Name the gate on \p c was placed with (PI/PO name, or any other
+    /// non-empty name a reader passed to \ref place); empty if none. The
+    /// reference is invalidated by any mutation of the layout.
+    [[nodiscard]] const std::string& io_name_of(const coordinate& c) const;
 
     /// PI/PO tiles in creation order.
     [[nodiscard]] const std::vector<coordinate>& pi_tiles() const noexcept;
@@ -188,12 +249,18 @@ public:
     /// In-bounds planar neighbors of \p c that may *receive* information
     /// from it (zone + 1), as ground-layer coordinates, in the order of
     /// \ref planar_neighbors.
-    [[nodiscard]] neighbor_list outgoing_clocked(const coordinate& c) const;
+    [[nodiscard]] neighbor_list outgoing_clocked(const coordinate& c) const
+    {
+        return scheme.is_regular() ? clocked_by_table(c, out_dirs) : open_clocked(c, true);
+    }
 
     /// In-bounds planar neighbors of \p c that may *send* information to it
     /// (zone - 1), as ground-layer coordinates, in the order of
     /// \ref planar_neighbors.
-    [[nodiscard]] neighbor_list incoming_clocked(const coordinate& c) const;
+    [[nodiscard]] neighbor_list incoming_clocked(const coordinate& c) const
+    {
+        return scheme.is_regular() ? clocked_by_table(c, in_dirs) : open_clocked(c, false);
+    }
 
     /// Iterates all occupied tiles in deterministic layer-major
     /// (z, y, x) scan order: fn(coordinate, tile_data).
@@ -251,6 +318,33 @@ private:
         tile_data data{};
         coordinate_list<max_fanout> outs{};
     };
+    // whole-grid copies (resize, annealing snapshots) are plain memory copies
+    static_assert(std::is_trivially_copyable_v<grid_slot>);
+    static_assert(sizeof(grid_slot) <= 72);
+
+    /// Neighbor bitmasks of a regular scheme, indexed [y & 3][x & 3]: bit k
+    /// stands for the k-th entry of \ref planar_neighbors. `& 3` is the
+    /// mathematical mod 4 for negative coordinates too, and on hexagonal
+    /// grids y & 3 fixes the row parity that selects the neighbor offsets.
+    using direction_table = std::array<std::array<std::uint8_t, 4>, 4>;
+
+    [[nodiscard]] neighbor_list clocked_by_table(const coordinate& c, const direction_table& table) const noexcept
+    {
+        const auto ns = planar_neighbors(c.ground(), topo);
+        const auto mask = table[static_cast<std::size_t>(c.y & 3)][static_cast<std::size_t>(c.x & 3)];
+        neighbor_list result;
+        for (std::size_t k = 0; k < ns.size(); ++k)
+        {
+            if (((mask >> k) & 1u) != 0 && within_bounds(ns[k]))
+            {
+                result.push_back(ns[k]);
+            }
+        }
+        return result;
+    }
+
+    /// The OPEN-scheme path of the clocked queries: compares assigned zones.
+    [[nodiscard]] neighbor_list open_clocked(const coordinate& c, bool outgoing) const;
 
     [[nodiscard]] std::size_t index_of(const coordinate& c) const noexcept
     {
@@ -278,6 +372,9 @@ private:
     std::string design_name;
     layout_topology topo;
     clocking_scheme scheme;
+    /// Filled by the constructor for regular schemes; unused for OPEN.
+    direction_table out_dirs{};
+    direction_table in_dirs{};
     std::uint32_t w;
     std::uint32_t h;
 
@@ -286,6 +383,9 @@ private:
     std::size_t occupied_count{0};
     std::vector<coordinate> pis;
     std::vector<coordinate> pos;
+    /// Non-empty gate names by tile; follows move_tile, clear_tile and the
+    /// translation of shrink_to_fit.
+    std::unordered_map<coordinate, std::string, coordinate_hash> names;
 };
 
 }  // namespace mnt::lyt

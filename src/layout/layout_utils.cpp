@@ -63,14 +63,14 @@ ntk::logic_network extract_network(const gate_level_layout& layout)
         const auto& d = layout.get(c);
         switch (d.type)
         {
-            case ntk::gate_type::pi: node_of[c] = network.create_pi(d.io_name); break;
+            case ntk::gate_type::pi: node_of[c] = network.create_pi(layout.io_name_of(c)); break;
             case ntk::gate_type::po:
             {
                 if (d.incoming.size() != 1)
                 {
                     throw design_rule_error{"extract_network: PO tile " + c.to_string() + " must have one fanin"};
                 }
-                node_of[c] = network.create_po(node_of.at(d.incoming[0]), d.io_name);
+                node_of[c] = network.create_po(node_of.at(d.incoming[0]), layout.io_name_of(c));
                 break;
             }
             default:
@@ -95,37 +95,6 @@ ntk::logic_network extract_network(const gate_level_layout& layout)
         }
     }
     return network;
-}
-
-std::size_t usable_exits(const gate_level_layout& layout, const coordinate& c)
-{
-    std::size_t count = 0;
-    for (const auto& n : layout.outgoing_clocked(c))
-    {
-        if (layout.is_empty_tile(n) ||
-            (layout.type_of(n) == ntk::gate_type::buf && layout.is_empty_tile(n.elevated())))
-        {
-            ++count;
-        }
-    }
-    return count;
-}
-
-std::size_t usable_entries(const gate_level_layout& layout, const coordinate& c)
-{
-    std::size_t count = 0;
-    for (const auto& n : layout.incoming_clocked(c))
-    {
-        if (layout.is_empty_tile(n))
-        {
-            count += 2;  // ground + crossing layer
-        }
-        else if (layout.type_of(n) == ntk::gate_type::buf && layout.is_empty_tile(n.elevated()))
-        {
-            count += 1;
-        }
-    }
-    return count;
 }
 
 layout_statistics collect_layout_statistics(const gate_level_layout& layout)

@@ -53,12 +53,39 @@ struct layout_statistics
 /// wire could still start (empty ground, or crossable ground wire with a
 /// free crossing layer). A gate placed on a tile with zero usable exits can
 /// never drive anything.
-[[nodiscard]] std::size_t usable_exits(const gate_level_layout& layout, const coordinate& c);
+[[nodiscard]] inline std::size_t usable_exits(const gate_level_layout& layout, const coordinate& c)
+{
+    std::size_t count = 0;
+    for (const auto& n : layout.outgoing_clocked(c))
+    {
+        if (layout.is_empty_tile(n) ||
+            (layout.type_of(n) == ntk::gate_type::buf && layout.is_empty_tile(n.elevated())))
+        {
+            ++count;
+        }
+    }
+    return count;
+}
 
 /// Number of wire *layers* on incoming-clocked neighbor positions of \p c
 /// through which new connections could still arrive (two for an empty
 /// position, one above a crossable wire). An n-ary gate needs at least n
 /// usable entries.
-[[nodiscard]] std::size_t usable_entries(const gate_level_layout& layout, const coordinate& c);
+[[nodiscard]] inline std::size_t usable_entries(const gate_level_layout& layout, const coordinate& c)
+{
+    std::size_t count = 0;
+    for (const auto& n : layout.incoming_clocked(c))
+    {
+        if (layout.is_empty_tile(n))
+        {
+            count += 2;  // ground + crossing layer
+        }
+        else if (layout.type_of(n) == ntk::gate_type::buf && layout.is_empty_tile(n.elevated()))
+        {
+            count += 1;
+        }
+    }
+    return count;
+}
 
 }  // namespace mnt::lyt

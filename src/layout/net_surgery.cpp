@@ -67,10 +67,21 @@ std::vector<connection> net_surgeon::incident_connections(const coordinate& g) c
             cur = target.outgoing_of(cur)[0];
         }
         conn.dst = cur;
-        const auto& dst_in = target.incoming_of(conn.dst);
+        // the feeder identifies the slot, except that g may drive several
+        // slots of one gate directly: the k-th such link takes the k-th slot
+        // that g feeds
         const auto feeder = conn.chain.empty() ? g : conn.chain.back();
-        const auto it = std::find(dst_in.cbegin(), dst_in.cend(), feeder);
-        conn.dst_slot = static_cast<std::size_t>(it - dst_in.cbegin());
+        auto skip = conn.chain.empty()
+                        ? std::count_if(result.cbegin(), result.cend(), [&](const connection& prev)
+                                        { return prev.src == g && prev.dst == conn.dst && prev.chain.empty(); })
+                        : 0;
+        const auto dst_in = target.incoming_of(conn.dst);
+        std::size_t slot = 0;
+        while (slot < dst_in.size() && !(dst_in[slot] == feeder && skip-- == 0))
+        {
+            ++slot;
+        }
+        conn.dst_slot = slot;
         result.push_back(conn);
     }
     return result;

@@ -11,6 +11,7 @@
 /// verbatim, or re-route them on shortest clocked paths, always preserving
 /// the fanin slot order of non-commutative gates.
 
+#include "common/types.hpp"
 #include "layout/coordinates.hpp"
 #include "layout/gate_level_layout.hpp"
 #include "layout/routing.hpp"
@@ -18,6 +19,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -109,24 +111,31 @@ namespace detail
 /// carrying the same source signal, so their mutual order is semantically
 /// irrelevant); \p feeders are the tiles now feeding those slots. Unaffected
 /// entries keep their relative order.
+///
+/// \throws precondition_error if the slots and feeders do not add up to the
+///         fanin list of \p dst (e.g. one slot listed twice)
 inline void rebuild_slot_order(gate_level_layout& layout, const coordinate& dst,
                                std::vector<std::size_t> affected_slots, const std::vector<coordinate>& feeders)
 {
     std::sort(affected_slots.begin(), affected_slots.end());
-    auto remaining = layout.incoming_of(dst);  // copy
+    gate_level_layout::fanin_list remaining;
+    for (const auto& in : layout.incoming_of(dst))
+    {
+        remaining.push_back(in);
+    }
     for (const auto& f : feeders)
     {
-        const auto it = std::find(remaining.begin(), remaining.end(), f);
-        if (it != remaining.end())
-        {
-            remaining.erase(it);
-        }
+        remaining.erase(f);
     }
-    std::vector<coordinate> desired;
-    desired.reserve(remaining.size() + feeders.size());
+    const auto total = remaining.size() + feeders.size();
+    if (affected_slots.size() != feeders.size() || total > gate_level_layout::max_fanin)
+    {
+        throw precondition_error{"rebuild_slot_order: " + std::to_string(affected_slots.size()) + " slots for " +
+                                 std::to_string(feeders.size()) + " feeders of " + dst.to_string()};
+    }
+    gate_level_layout::fanin_list desired;
     std::size_t next_affected = 0;
     std::size_t next_remaining = 0;
-    const auto total = remaining.size() + feeders.size();
     for (std::size_t slot = 0; slot < total; ++slot)
     {
         if (next_affected < affected_slots.size() && affected_slots[next_affected] == slot)
@@ -134,12 +143,17 @@ inline void rebuild_slot_order(gate_level_layout& layout, const coordinate& dst,
             desired.push_back(feeders[next_affected]);
             ++next_affected;
         }
-        else
+        else if (next_remaining < remaining.size())
         {
             desired.push_back(remaining[next_remaining++]);
         }
+        else
+        {
+            throw precondition_error{"rebuild_slot_order: slot " + std::to_string(slot) + " of " + dst.to_string() +
+                                     " has no feeder (affected slots repeat or exceed the fanin list)"};
+        }
     }
-    layout.set_incoming_order(dst, desired);
+    layout.set_incoming_order(dst, {desired.begin(), desired.end()});
 }
 
 }  // namespace detail
@@ -245,9 +259,9 @@ bool try_relocate(net_surgeon& surgeon, const coordinate& g, const coordinate& t
     // it), move back, restore originals
     for (auto it = out_routed.rbegin(); it != out_routed.rend(); ++it)
     {
-        const auto& in = layout.incoming_of(it->first);
-        const auto pos = std::find(in.cbegin(), in.cend(), it->second);
-        surgeon.rip(surgeon.trace_incoming(it->first, static_cast<std::size_t>(pos - in.cbegin())));
+        const auto in = layout.incoming_of(it->first);
+        const auto pos = std::find(in.begin(), in.end(), it->second);
+        surgeon.rip(surgeon.trace_incoming(it->first, static_cast<std::size_t>(pos - in.begin())));
     }
     if (target_free)
     {

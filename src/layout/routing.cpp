@@ -234,10 +234,14 @@ bool route(gate_level_layout& layout, const coordinate& src, const coordinate& d
 void rip_up_path(gate_level_layout& layout, const coordinate& src, const coordinate& dst)
 {
     // remove the last-hop connection into dst, then peel wire tiles backwards
-    const auto& in = layout.incoming_of(dst);
+    gate_level_layout::fanin_list fanins;
+    for (const auto& in : layout.incoming_of(dst))
+    {
+        fanins.push_back(in);
+    }
     // find the chain end: the incoming tile of dst that (transitively) leads
     // back to src over single-user wires
-    for (const auto& candidate : std::vector<coordinate>{in})
+    for (const auto& candidate : fanins)
     {
         // walk backwards collecting wire tiles
         std::vector<coordinate> chain;
@@ -255,7 +259,7 @@ void rip_up_path(gate_level_layout& layout, const coordinate& src, const coordin
                 break;
             }
             chain.push_back(walk);
-            const auto& walk_in = layout.incoming_of(walk);
+            const auto walk_in = layout.incoming_of(walk);
             if (walk_in.size() != 1)
             {
                 break;

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <unordered_map>
 #include <vector>
 
 namespace mnt::pd
@@ -37,7 +36,8 @@ public:
                  const std::chrono::steady_clock::time_point soft_deadline) :
             net{preprocessed},
             params{parameters},
-            deadline{soft_deadline}
+            deadline{soft_deadline},
+            tile_of(preprocessed.size())
     {
         for (const auto v : net.topological_order())
         {
@@ -70,7 +70,6 @@ public:
         params.deadline.throw_if_expired("exact/solve");
         gate_level_layout layout{net.network_name(), params.topology,
                                  lyt::clocking_scheme::create(params.scheme), w, h};
-        tile_of.clear();
         if (recurse(layout, 0))
         {
             return layout;
@@ -219,8 +218,9 @@ private:
         if (path.empty())
         {
             // direct link: disconnect the most recent incoming entry of dst
-            const auto& in = layout.incoming_of(dst);
-            layout.disconnect(in.back(), dst);
+            // (a copy: disconnect edits the list the span views)
+            const auto last_fanin = layout.incoming_of(dst).back();
+            layout.disconnect(last_fanin, dst);
         }
         else
         {
@@ -241,7 +241,7 @@ private:
         {
             return recurse(layout, i + 1);
         }
-        const auto src = tile_of.at(fis[j]);
+        const auto src = tile_of[fis[j]];
         for (const auto& path : enumerate_paths(layout, src, t))
         {
             establish(layout, src, t, path);
@@ -270,7 +270,10 @@ private:
         // candidate tiles: empty ground tiles compatible with all placed
         // fanins, nearest-first. The list is rebuilt at every search node, so
         // it lives in the thread's scratch arena: recursion nests regions
-        // LIFO and the steady state allocates nothing.
+        // LIFO and the steady state allocates nothing. The search usually
+        // stops at one of the first candidates, so they are popped from a
+        // min-heap instead of sorted up front; (key, tile) is a strict total
+        // order, so the pop order is the sorted order.
         struct scored_tile
         {
             std::uint32_t key;
@@ -292,7 +295,7 @@ private:
                 bool ok = true;
                 for (const auto fi : fis)
                 {
-                    const auto& src = tile_of.at(fi);
+                    const auto& src = tile_of[fi];
                     if (!may_reach(src, c))
                     {
                         ok = false;
@@ -315,7 +318,7 @@ private:
                 auto entries = lyt::usable_entries(layout, c);
                 for (const auto fi : fis)
                 {
-                    const auto& src = tile_of.at(fi);
+                    const auto& src = tile_of[fi];
                     if (lyt::are_adjacent(src, c, layout.topology()) &&
                         layout.clocking().is_incoming_clocked(c, src))
                     {
@@ -330,12 +333,15 @@ private:
                 candidates.push_back(scored_tile{dist * 4u + static_cast<std::uint32_t>(x + y), c});
             }
         }
-        std::sort(candidates.begin(), candidates.end(),
-                  [](const auto& a, const auto& b)
-                  { return a.key != b.key ? a.key < b.key : a.tile < b.tile; });
-
-        for (const auto& [key, c] : candidates)
+        const auto later = [](const scored_tile& a, const scored_tile& b)
+        { return a.key != b.key ? a.key > b.key : b.tile < a.tile; };
+        auto* const first = candidates.begin();
+        auto* last = candidates.end();
+        std::make_heap(first, last, later);
+        while (last != first)
         {
+            std::pop_heap(first, last, later);
+            const auto c = (--last)->tile;
             layout.place(c, t, (net.is_pi(v) || net.is_po(v)) ? net.name_of(v) : std::string{});
             tile_of[v] = c;
             if (route_fanins(layout, i, c, 0))
@@ -343,7 +349,6 @@ private:
                 return true;
             }
             layout.clear_tile(c);
-            tile_of.erase(v);
         }
         return false;
     }
@@ -354,7 +359,9 @@ private:
     std::size_t search_nodes{0};
     std::uint32_t deadline_counter{0};
     std::vector<logic_network::node> order;
-    std::unordered_map<logic_network::node, coordinate> tile_of;
+    /// Tile of every placed node, indexed by node. Entries of nodes not yet
+    /// placed are stale; the topological order only reads placed fanins.
+    std::vector<coordinate> tile_of;
 };
 
 }  // namespace

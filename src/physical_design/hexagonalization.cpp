@@ -70,7 +70,7 @@ lyt::gate_level_layout hexagonalization(const lyt::gate_level_layout& cartesian)
 
     // first pass: place all gates
     cartesian.foreach_tile([&](const coordinate& c, const lyt::gate_level_layout::tile_data& d)
-                           { hex_layout.place(shift(c), d.type, d.io_name); });
+                           { hex_layout.place(shift(c), d.type, cartesian.io_name_of(c)); });
 
     // second pass: transfer connections in slot order (deterministically)
     for (const auto& c : cartesian.tiles_sorted())

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -129,7 +128,9 @@ bool constructive_placement(gate_level_layout& layout, const logic_network& net,
     surgeon.options().respect_needy_exits = true;
     surgeon.options().deadline = params.deadline;
 
-    std::unordered_map<logic_network::node, coordinate> tile_of;
+    // tile of every placed node, indexed by node (fanins are placed first)
+    std::vector<coordinate> tile_of(net.size());
+    std::vector<std::pair<double, coordinate>> candidates;
 
     for (const auto v : net.topological_order())
     {
@@ -166,7 +167,7 @@ bool constructive_placement(gate_level_layout& layout, const logic_network& net,
                 }
                 // v may consume nb directly, in which case c is its exit
                 if (std::any_of(fis.begin(), fis.end(),
-                                [&](const logic_network::node fi) { return tile_of.at(fi) == nb; }))
+                                [&](const logic_network::node fi) { return tile_of[fi] == nb; }))
                 {
                     continue;
                 }
@@ -211,7 +212,7 @@ bool constructive_placement(gate_level_layout& layout, const logic_network& net,
             auto entries = lyt::usable_entries(layout, c);
             for (const auto fi : fis)
             {
-                const auto& src = tile_of.at(fi);
+                const auto& src = tile_of[fi];
                 if (lyt::are_adjacent(src, c, layout.topology()) &&
                     layout.clocking().is_incoming_clocked(c, src))
                 {
@@ -223,7 +224,7 @@ bool constructive_placement(gate_level_layout& layout, const logic_network& net,
 
         // candidate tiles, nearest to the fanins first (origin-biased),
         // with a random tie-break for stochastic diversity
-        std::vector<std::pair<double, coordinate>> candidates;
+        candidates.clear();
         for (std::int32_t y = 0; y < static_cast<std::int32_t>(layout.height()); ++y)
         {
             for (std::int32_t x = 0; x < static_cast<std::int32_t>(layout.width()); ++x)
@@ -237,7 +238,7 @@ bool constructive_placement(gate_level_layout& layout, const logic_network& net,
                 const auto reachable = std::all_of(fis.begin(), fis.end(),
                                                    [&](const logic_network::node fi) {
                                                        return lyt::may_flow(params.scheme, params.topology,
-                                                                            tile_of.at(fi), c);
+                                                                            tile_of[fi], c);
                                                    });
                 if (!reachable || !capacity_ok(c) || walls_in_neighbor(c))
                 {
@@ -246,21 +247,26 @@ bool constructive_placement(gate_level_layout& layout, const logic_network& net,
                 double score = 0.05 * static_cast<double>(x + y);
                 for (const auto fi : fis)
                 {
-                    score += static_cast<double>(lyt::grid_distance(tile_of.at(fi), c, layout.topology()));
+                    score += static_cast<double>(lyt::grid_distance(tile_of[fi], c, layout.topology()));
                 }
                 score += std::uniform_real_distribution<double>{0.0, 0.5}(rng);
                 candidates.emplace_back(score, c);
             }
         }
-        std::sort(candidates.begin(), candidates.end(),
-                  [](const auto& a, const auto& b)
-                  { return a.first != b.first ? a.first < b.first : a.second < b.second; });
+        // at most max_tries candidates are tried, so they are popped from a
+        // min-heap instead of sorted in full; (score, tile) is a strict
+        // total order, so the pop order is the sorted order
+        const auto later = [](const auto& a, const auto& b)
+        { return a.first != b.first ? a.first > b.first : b.second < a.second; };
+        std::make_heap(candidates.begin(), candidates.end(), later);
 
         constexpr std::size_t max_tries = 160;
         bool placed = false;
         std::size_t tries = 0;
-        for (const auto& [score, c] : candidates)
+        for (auto last = candidates.end(); last != candidates.begin();)
         {
+            std::pop_heap(candidates.begin(), last, later);
+            const auto c = (--last)->second;
             // the candidate list is a snapshot: a rip-up-and-reroute for an
             // earlier fanin (or an earlier failed attempt) may have moved
             // another net across this tile since it was collected
@@ -277,7 +283,7 @@ bool constructive_placement(gate_level_layout& layout, const logic_network& net,
             bool routed_all = true;
             for (const auto fi : fis)
             {
-                if (!route_with_unblock(surgeon, tile_of.at(fi), c))
+                if (!route_with_unblock(surgeon, tile_of[fi], c))
                 {
                     routed_all = false;
                     break;
@@ -285,7 +291,7 @@ bool constructive_placement(gate_level_layout& layout, const logic_network& net,
             }
             if (routed_all)
             {
-                tile_of.emplace(v, c);
+                tile_of[v] = c;
                 placed = true;
                 break;
             }

@@ -191,7 +191,7 @@ std::string layout_digest(const lyt::gate_level_layout& layout)
     layout.foreach_tile(
         [&](const lyt::coordinate& c, const lyt::gate_level_layout::tile_data& tile)
         {
-            digest += c.to_string() + "=" + std::string{ntk::gate_type_name(tile.type)} + "<" + tile.io_name;
+            digest += c.to_string() + "=" + std::string{ntk::gate_type_name(tile.type)} + "<" + layout.io_name_of(c);
             for (const auto& in : tile.incoming)
             {
                 digest += in.to_string();

@@ -114,7 +114,7 @@ void check_io(const gate_level_layout& layout, drc_report& report)
     std::set<std::string> pi_names;
     for (const auto& c : layout.pi_tiles())
     {
-        const auto& name = layout.get(c).io_name;
+        const auto& name = layout.io_name_of(c);
         if (name.empty())
         {
             report.errors.push_back("PI tile " + c.to_string() + " has no name");
@@ -134,7 +134,7 @@ void check_io(const gate_level_layout& layout, drc_report& report)
     std::set<std::string> po_names;
     for (const auto& c : layout.po_tiles())
     {
-        const auto& name = layout.get(c).io_name;
+        const auto& name = layout.io_name_of(c);
         if (name.empty())
         {
             report.errors.push_back("PO tile " + c.to_string() + " has no name");

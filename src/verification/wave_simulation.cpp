@@ -137,7 +137,7 @@ wave_result wave_simulate(const gate_level_layout& layout, const std::vector<std
     for (const auto& po : layout.po_tiles())
     {
         result.po_words.push_back(value_of(po));
-        result.po_names.push_back(layout.get(po).io_name);
+        result.po_names.push_back(layout.io_name_of(po));
     }
     if (!result.stabilized)
     {
@@ -234,7 +234,7 @@ wave_block_result wave_simulate_block(const gate_level_layout& layout, const std
     {
         const auto* row = values.data() + row_index(po);
         result.po_rows.insert(result.po_rows.end(), row, row + n);
-        result.po_names.push_back(layout.get(po).io_name);
+        result.po_names.push_back(layout.io_name_of(po));
     }
     if (!result.stabilized)
     {
@@ -286,7 +286,7 @@ stream_result wave_stream_simulate(const gate_level_layout& layout,
     stream_result result{};
     for (const auto& po : layout.po_tiles())
     {
-        result.po_names.push_back(layout.get(po).io_name);
+        result.po_names.push_back(layout.io_name_of(po));
     }
     std::vector<std::vector<std::uint64_t>> raw(layout.num_pos());
 
@@ -372,7 +372,7 @@ wave_equivalence_result check_stream_equivalence(const ntk::logic_network& speci
     std::vector<std::string> layout_pis;
     for (const auto& c : layout.pi_tiles())
     {
-        layout_pis.push_back(layout.get(c).io_name);
+        layout_pis.push_back(layout.io_name_of(c));
     }
     std::unordered_map<std::string, std::size_t> spec_po_index;
     for (std::size_t i = 0; i < specification.num_pos(); ++i)
@@ -421,10 +421,10 @@ wave_equivalence_result check_stream_equivalence(const ntk::logic_network& speci
         frames.push_back(std::move(frame));
         for (std::size_t o = 0; o < layout.num_pos(); ++o)
         {
-            const auto it = spec_po_index.find(layout.get(layout.po_tiles()[o]).io_name);
+            const auto it = spec_po_index.find(layout.io_name_of(layout.po_tiles()[o]));
             if (it == spec_po_index.cend())
             {
-                result.reason = "unknown layout output '" + layout.get(layout.po_tiles()[o]).io_name + "'";
+                result.reason = "unknown layout output '" + layout.io_name_of(layout.po_tiles()[o]) + "'";
                 return result;
             }
             expected[o].push_back(spec_out[it->second]);
@@ -453,7 +453,7 @@ wave_equivalence_result check_wave_equivalence(const ntk::logic_network& specifi
     std::vector<std::string> layout_pis;
     for (const auto& c : layout.pi_tiles())
     {
-        layout_pis.push_back(layout.get(c).io_name);
+        layout_pis.push_back(layout.io_name_of(c));
     }
     if (std::set<std::string>(spec_pis.cbegin(), spec_pis.cend()) !=
         std::set<std::string>(layout_pis.cbegin(), layout_pis.cend()))

@@ -33,6 +33,14 @@
 #include <thread>
 #include <vector>
 
+// Under AddressSanitizer the segv modes must still die by the signal they
+// raise, as in a normal build: ASan's own SIGSEGV handler would print a
+// report and exit with status 1 instead. Other builds never call this hook.
+extern "C" const char* __asan_default_options()
+{
+    return "handle_segv=0";
+}
+
 namespace
 {
 

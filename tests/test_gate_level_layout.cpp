@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 using namespace mnt;
@@ -123,8 +125,8 @@ TEST(GateLevelLayoutTest, PiPoBookkeeping)
     EXPECT_EQ(layout.num_pis(), 2u);
     EXPECT_EQ(layout.num_pos(), 1u);
     ASSERT_EQ(layout.pi_tiles().size(), 2u);
-    EXPECT_EQ(layout.get(layout.pi_tiles()[0]).io_name, "a");
-    EXPECT_EQ(layout.get(layout.po_tiles()[0]).io_name, "y");
+    EXPECT_EQ(layout.io_name_of(layout.pi_tiles()[0]), "a");
+    EXPECT_EQ(layout.io_name_of(layout.po_tiles()[0]), "y");
 }
 
 TEST(GateLevelLayoutTest, ClearTileSeversConnections)
@@ -207,42 +209,64 @@ TEST(GateLevelLayoutTest, ClockedNeighborsAreTheFilteredPlanarNeighborOrder)
     // queries on the crossing layer answer for the ground position below
     EXPECT_EQ(as_vector(hex.outgoing_clocked({2, 2, 1})), (std::vector<coordinate>{{1, 3}, {2, 3}}));
 
-    // every tile, every scheme: the in-bounds, clock-filtered subsequence of
-    // planar_neighbors, in the same order
-    const std::vector<gate_level_layout> layouts{
-        {"2dd", layout_topology::cartesian, clocking_scheme::twoddwave(), 5, 4},
-        {"use", layout_topology::cartesian, clocking_scheme::use(), 5, 4},
-        {"res", layout_topology::cartesian, clocking_scheme::res(), 5, 4},
-        {"esr", layout_topology::cartesian, clocking_scheme::esr(), 5, 4},
-        {"hex", layout_topology::hexagonal_even_row, clocking_scheme::row(), 5, 4}};
-    for (const auto& layout : layouts)
+    // the table-driven queries against the definition: planar_neighbors of
+    // the ground position, filtered by bounds and by the scheme's own zone
+    // comparison, in that order
+    const auto defined = [](const gate_level_layout& layout, const coordinate& c, const bool outgoing)
     {
-        for (std::int32_t y = 0; y < 4; ++y)
+        std::vector<coordinate> result;
+        for (const auto& n : planar_neighbors(c.ground(), layout.topology()))
         {
-            for (std::int32_t x = 0; x < 5; ++x)
+            if (layout.within_bounds(n) && (outgoing ? layout.clocking().is_incoming_clocked(n, c) :
+                                                       layout.clocking().is_incoming_clocked(c, n)))
             {
-                const coordinate c{x, y};
-                std::vector<coordinate> outgoing;
-                std::vector<coordinate> incoming;
-                for (const auto& n : planar_neighbors(c, layout.topology()))
+                result.push_back(n);
+            }
+        }
+        return result;
+    };
+    // border tiles, tiles outside the bounds (negative ones too) and
+    // crossing-layer queries
+    const auto check = [&](const gate_level_layout& layout)
+    {
+        for (std::uint8_t z = 0; z < 2; ++z)
+        {
+            for (std::int32_t y = -6; y < 15; ++y)
+            {
+                for (std::int32_t x = -6; x < 15; ++x)
                 {
-                    if (!layout.within_bounds(n))
+                    const coordinate c{x, y, z};
+                    const auto where = layout.layout_name() + " " + c.to_string();
+                    EXPECT_EQ(as_vector(layout.outgoing_clocked(c)), defined(layout, c, true)) << where;
+                    EXPECT_EQ(as_vector(layout.incoming_clocked(c)), defined(layout, c, false)) << where;
+                }
+            }
+        }
+    };
+
+    for (const auto topo : {layout_topology::cartesian, layout_topology::hexagonal_even_row})
+    {
+        for (const auto& [w, h] : {std::pair{9u, 9u}, std::pair{5u, 4u}})
+        {
+            const auto where = "/" + topology_name(topo) + "/" + std::to_string(w) + "x" + std::to_string(h);
+            for (const auto kind : regular_schemes_for(topo))
+            {
+                check(gate_level_layout{clocking_name(kind) + where, topo, clocking_scheme::create(kind), w, h});
+            }
+
+            // OPEN compares assigned zones; some tiles keep the default zone 0
+            gate_level_layout open{"OPEN" + where, topo, clocking_scheme::open(), w, h};
+            for (std::int32_t y = 0; y < static_cast<std::int32_t>(h); ++y)
+            {
+                for (std::int32_t x = 0; x < static_cast<std::int32_t>(w); ++x)
+                {
+                    if ((x * 7 + y * 3) % 5 != 0)
                     {
-                        continue;
-                    }
-                    if (layout.clocking().is_incoming_clocked(n, c))
-                    {
-                        outgoing.push_back(n);
-                    }
-                    if (layout.clocking().is_incoming_clocked(c, n))
-                    {
-                        incoming.push_back(n);
+                        open.assign_clock({x, y}, static_cast<std::uint8_t>((x * 5 + y * 11) % 4));
                     }
                 }
-                const auto where = layout.layout_name() + " " + c.to_string();
-                EXPECT_EQ(as_vector(layout.outgoing_clocked(c)), outgoing) << where;
-                EXPECT_EQ(as_vector(layout.incoming_clocked(c)), incoming) << where;
             }
+            check(open);
         }
     }
 }
@@ -333,9 +357,9 @@ TEST(GateLevelLayoutTest, FailedResizeLeavesLayoutUntouched)
     layout.place({1, 0}, gate_type::pi, "a");
     layout.place({4, 4}, gate_type::po, "y");
     layout.connect({1, 0}, {4, 4});
-    layout.clocking_mutable().assign_clock({1, 0}, 0);
-    layout.clocking_mutable().assign_clock({4, 4}, 1);
-    layout.clocking_mutable().assign_clock({5, 5}, 2);  // override beyond the would-be bounds
+    layout.assign_clock({1, 0}, 0);
+    layout.assign_clock({4, 4}, 1);
+    layout.assign_clock({5, 5}, 2);  // override beyond the would-be bounds
 
     EXPECT_THROW(layout.resize(3, 3), precondition_error);  // po at (4,4) falls out
 
@@ -357,8 +381,8 @@ TEST(GateLevelLayoutTest, ResizeSmallerPrunesOpenOverrides)
 {
     auto layout = gate_level_layout{"t", layout_topology::cartesian, clocking_scheme::open(), 6, 6};
     layout.place({0, 0}, gate_type::pi, "a");
-    layout.clocking_mutable().assign_clock({0, 0}, 0);
-    layout.clocking_mutable().assign_clock({5, 5}, 3);
+    layout.assign_clock({0, 0}, 0);
+    layout.assign_clock({5, 5}, 3);
 
     layout.resize(2, 2);
 
@@ -373,8 +397,8 @@ TEST(GateLevelLayoutTest, ShrinkThenRegrowDoesNotResurrectStaleZones)
     // layout grows back over that coordinate
     auto layout = gate_level_layout{"t", layout_topology::cartesian, clocking_scheme::open(), 6, 6};
     layout.place({0, 0}, gate_type::pi, "a");
-    layout.clocking_mutable().assign_clock({0, 0}, 0);
-    layout.clocking_mutable().assign_clock({5, 5}, 3);
+    layout.assign_clock({0, 0}, 0);
+    layout.assign_clock({5, 5}, 3);
 
     layout.shrink_to_fit();
     EXPECT_EQ(layout.width(), 1u);
@@ -392,8 +416,8 @@ TEST(GateLevelLayoutTest, ShrinkTranslationRekeysOpenZones)
     layout.place({3, 2}, gate_type::pi, "a");
     layout.place({4, 2}, gate_type::po, "y");
     layout.connect({3, 2}, {4, 2});
-    layout.clocking_mutable().assign_clock({3, 2}, 1);
-    layout.clocking_mutable().assign_clock({4, 2}, 2);
+    layout.assign_clock({3, 2}, 1);
+    layout.assign_clock({4, 2}, 2);
 
     layout.shrink_to_fit();
 
@@ -411,7 +435,7 @@ TEST(GateLevelLayoutTest, HexagonalOpenShrinkKeepsRowParity)
     // shrink must keep one margin row instead
     auto layout = gate_level_layout{"t", layout_topology::hexagonal_even_row, clocking_scheme::open(), 8, 8};
     layout.place({0, 1}, gate_type::pi, "a");
-    layout.clocking_mutable().assign_clock({0, 1}, 1);
+    layout.assign_clock({0, 1}, 1);
 
     layout.shrink_to_fit();
 
@@ -431,4 +455,87 @@ TEST(GateLevelLayoutTest, ConnectRejectsFanoutOverCapacity)
     layout.connect({0, 0}, {0, 1});
     EXPECT_THROW(layout.connect({0, 0}, {1, 1}), precondition_error);
     EXPECT_EQ(layout.outgoing_of({0, 0}).size(), gate_level_layout::max_fanout);
+}
+
+TEST(GateLevelLayoutTest, AssignClockOnlyOnOpenLayouts)
+{
+    // a regular scheme never changes under its direction tables
+    auto regular = make_empty();
+    EXPECT_THROW(regular.assign_clock({0, 0}, 1), precondition_error);
+    EXPECT_EQ(as_vector(regular.outgoing_clocked({0, 0})), (std::vector<coordinate>{{1, 0}, {0, 1}}));
+
+    gate_level_layout open{"t", layout_topology::cartesian, clocking_scheme::open(), 3, 3};
+    open.assign_clock({1, 2}, 3);
+    EXPECT_EQ(open.clock_number({1, 2}), 3u);
+}
+
+TEST(GateLevelLayoutTest, NamesFollowTheirTiles)
+{
+    // a PI/PO name and a name on a buffer (a hostile .fgl may name any gate)
+    auto layout = make_empty(8, 8);
+    layout.place({4, 4}, gate_type::pi, "a");
+    layout.place({5, 4}, gate_type::buf, "w");
+    layout.place({6, 4}, gate_type::po, "y");
+    layout.connect({4, 4}, {5, 4});
+    layout.connect({5, 4}, {6, 4});
+
+    layout.move_tile({5, 4}, {5, 5});
+    layout.move_tile({6, 4}, {6, 5});
+    EXPECT_EQ(layout.io_name_of({5, 5}), "w");
+    EXPECT_EQ(layout.io_name_of({6, 5}), "y");
+    EXPECT_TRUE(layout.io_name_of({5, 4}).empty());
+    EXPECT_TRUE(layout.io_name_of({6, 4}).empty());
+
+    layout.resize(12, 12);
+    EXPECT_EQ(layout.io_name_of({4, 4}), "a");
+    EXPECT_EQ(layout.io_name_of({5, 5}), "w");
+    EXPECT_EQ(layout.io_name_of({6, 5}), "y");
+
+    // 2DDWave zones repeat along (x + y) mod 4: the shrink translates by (4, 4)
+    layout.shrink_to_fit();
+    ASSERT_EQ(layout.width(), 3u);
+    ASSERT_EQ(layout.height(), 2u);
+    EXPECT_EQ(layout.io_name_of({0, 0}), "a");
+    EXPECT_EQ(layout.io_name_of({1, 1}), "w");
+    EXPECT_EQ(layout.io_name_of({2, 1}), "y");
+    EXPECT_EQ(layout.type_of({1, 1}), gate_type::buf);
+
+    // clear_tile drops the name: a gate placed there later starts unnamed
+    layout.clear_tile({1, 1});
+    layout.clear_tile({0, 0});
+    EXPECT_TRUE(layout.io_name_of({1, 1}).empty());
+    EXPECT_TRUE(layout.io_name_of({0, 0}).empty());
+    layout.place({1, 1}, gate_type::buf);
+    layout.place({0, 0}, gate_type::pi);
+    EXPECT_TRUE(layout.io_name_of({1, 1}).empty());
+    EXPECT_TRUE(layout.io_name_of({0, 0}).empty());
+    EXPECT_EQ(layout.io_name_of({2, 1}), "y");
+}
+
+TEST(GateLevelLayoutTest, SetIncomingOrderChecksThePermutation)
+{
+    auto layout = make_empty();
+    layout.place({1, 0}, gate_type::fanout);
+    layout.place({0, 1}, gate_type::pi, "b");
+    layout.place({1, 1}, gate_type::maj3);
+    layout.connect({1, 0}, {1, 1});
+    layout.connect({0, 1}, {1, 1});
+    layout.connect({1, 0}, {1, 1});
+
+    const std::vector<coordinate> reordered{{0, 1}, {1, 0}, {1, 0}};
+    layout.set_incoming_order({1, 1}, reordered);
+    EXPECT_TRUE(std::ranges::equal(layout.incoming_of({1, 1}), reordered));
+
+    // same entries, other multiplicities; a subset; a superset
+    const std::vector<coordinate> wrong_counts{{0, 1}, {0, 1}, {1, 0}};
+    const std::vector<coordinate> subset{{0, 1}, {1, 0}};
+    const std::vector<coordinate> superset{{0, 1}, {1, 0}, {1, 0}, {1, 0}};
+    EXPECT_THROW(layout.set_incoming_order({1, 1}, wrong_counts), precondition_error);
+    EXPECT_THROW(layout.set_incoming_order({1, 1}, subset), precondition_error);
+    EXPECT_THROW(layout.set_incoming_order({1, 1}, superset), precondition_error);
+    EXPECT_TRUE(std::ranges::equal(layout.incoming_of({1, 1}), reordered));
+
+    // the span may view the tile's own list
+    layout.set_incoming_order({1, 1}, layout.incoming_of({1, 1}));
+    EXPECT_TRUE(std::ranges::equal(layout.incoming_of({1, 1}), reordered));
 }

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 using namespace mnt;
 using namespace mnt::pd;
 using namespace mnt::test;
@@ -46,6 +50,24 @@ TEST(HexagonalizationTest, GeometryFollowsTheDiagonalFormula)
     // rows = diagonals of the Cartesian layout
     EXPECT_EQ(hex.height(), cartesian.width() + cartesian.height() - 1);
     EXPECT_LE(hex.width(), (cartesian.width() + cartesian.height()) / 2 + 1);
+}
+
+TEST(HexagonalizationTest, NamesMoveWithTheirTiles)
+{
+    lyt::gate_level_layout layout{"names", lyt::layout_topology::cartesian, lyt::clocking_scheme::twoddwave(), 3, 1};
+    layout.place({0, 0}, ntk::gate_type::pi, "a");
+    layout.place({1, 0}, ntk::gate_type::buf, "w");
+    layout.place({2, 0}, ntk::gate_type::po, "y");
+    layout.connect({0, 0}, {1, 0});
+    layout.connect({1, 0}, {2, 0});
+
+    const auto hex = hexagonalization(layout);
+    std::vector<std::pair<ntk::gate_type, std::string>> named;
+    hex.foreach_tile([&](const lyt::coordinate& c, const lyt::gate_level_layout::tile_data& d)
+                     { named.emplace_back(d.type, hex.io_name_of(c)); });
+    const std::vector<std::pair<ntk::gate_type, std::string>> expected{
+        {ntk::gate_type::pi, "a"}, {ntk::gate_type::buf, "w"}, {ntk::gate_type::po, "y"}};
+    EXPECT_EQ(named, expected);
 }
 
 TEST(HexagonalizationTest, RejectsNonTwoDDWaveInput)

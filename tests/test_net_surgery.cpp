@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 using namespace mnt;
 using namespace mnt::lyt;
 using namespace mnt::test;
@@ -100,6 +103,39 @@ TEST(NetSurgeryTest, IncidentConnectionsCoverInsAndOuts)
     EXPECT_EQ(conns[0].dst, xor_tile);
     EXPECT_EQ(conns[1].dst, xor_tile);
     EXPECT_EQ(conns[2].src, xor_tile);
+}
+
+TEST(NetSurgeryTest, RepeatedDirectLinksGetDistinctSlots)
+{
+    // a fanout feeding both slots of the adjacent AND directly
+    gate_level_layout layout{"f", layout_topology::cartesian, clocking_scheme::twoddwave(), 6, 6};
+    layout.place({0, 0}, gate_type::pi, "a");
+    layout.place({0, 1}, gate_type::fanout);
+    layout.place({1, 1}, gate_type::and2);
+    layout.place({2, 1}, gate_type::po, "y");
+    layout.connect({0, 0}, {0, 1});
+    layout.connect({0, 1}, {1, 1});
+    layout.connect({0, 1}, {1, 1});
+    layout.connect({1, 1}, {2, 1});
+    const auto spec = extract_network(layout);
+    net_surgeon surgeon{layout};
+
+    const auto conns = surgeon.incident_connections({0, 1});
+    ASSERT_EQ(conns.size(), 3u);  // the PI link, then both links into the AND
+    EXPECT_EQ(conns[1].dst, coordinate(1, 1));
+    EXPECT_EQ(conns[2].dst, coordinate(1, 1));
+    EXPECT_EQ(conns[1].dst_slot, 0u);
+    EXPECT_EQ(conns[2].dst_slot, 1u);
+
+    // one slot listed twice cannot be rebuilt: an error, not a read past
+    // the end of the fanin list
+    EXPECT_THROW(detail::rebuild_slot_order(layout, {1, 1}, {0, 0}, {{0, 1}, {0, 1}}), precondition_error);
+
+    ASSERT_TRUE(try_relocate(surgeon, {0, 1}, {1, 0}, []() { return true; }));
+    EXPECT_TRUE(std::ranges::equal(layout.incoming_of({1, 1}), std::vector<coordinate>{{1, 0}, {1, 0}}));
+    EXPECT_EQ(layout.outgoing_of({1, 0}).size(), 2u);
+    EXPECT_TRUE(ver::gate_level_drc(layout).passed());
+    EXPECT_TRUE(ver::check_layout_equivalence(spec, layout));
 }
 
 TEST(NetSurgeryTest, RipDemotesFloatingCrossings)

@@ -202,7 +202,8 @@ void expect_equivalent(const gate_level_layout& layout, const reference_model& m
                 }
                 ASSERT_TRUE(layout.has_tile(c)) << "missing tile at " << c.to_string();
                 ASSERT_EQ(layout.type_of(c), it->second.type) << "type mismatch at " << c.to_string();
-                ASSERT_EQ(layout.incoming_of(c), it->second.incoming) << "fanin mismatch at " << c.to_string();
+                ASSERT_TRUE(std::ranges::equal(layout.incoming_of(c), it->second.incoming))
+                    << "fanin mismatch at " << c.to_string();
                 const auto outs = layout.outgoing_of(c);
                 ASSERT_EQ(std::vector<coordinate>(outs.begin(), outs.end()), model.outgoing_of(c))
                     << "fanout mismatch at " << c.to_string();

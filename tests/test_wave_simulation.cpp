@@ -112,10 +112,10 @@ TEST(WaveSimulationTest, CyclicLayoutDoesNotStabilize)
     // ring oscillator: inverter loop through OPEN-clocked tiles
     auto scheme = lyt::clocking_scheme::open();
     lyt::gate_level_layout layout{"osc", lyt::layout_topology::cartesian, std::move(scheme), 3, 3};
-    layout.clocking_mutable().assign_clock({0, 0}, 0);
-    layout.clocking_mutable().assign_clock({1, 0}, 1);
-    layout.clocking_mutable().assign_clock({1, 1}, 2);
-    layout.clocking_mutable().assign_clock({0, 1}, 3);
+    layout.assign_clock({0, 0}, 0);
+    layout.assign_clock({1, 0}, 1);
+    layout.assign_clock({1, 1}, 2);
+    layout.assign_clock({0, 1}, 3);
     layout.place({0, 0}, gate_type::inv);
     layout.place({1, 0}, gate_type::buf);
     layout.place({1, 1}, gate_type::buf);
