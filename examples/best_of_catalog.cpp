@@ -1,7 +1,7 @@
 /// \file best_of_catalog.cpp
 /// \brief Uses the MNT Bench catalog like the website: populate it with
 ///        layouts for the Trindade16 set, filter by facets, pick the best
-///        layouts, and export the benchmark files (.v + .fgl + cell level) —
+///        layouts, and export the benchmark files (.v + .fgl) —
 ///        the "researcher downloads benchmarks" scenario from the paper's
 ///        introduction.
 
@@ -77,7 +77,7 @@ int main()
         std::printf("\n");
     }
 
-    // download: export the best QCA ONE layouts with cell level
+    // download: export the best QCA ONE layouts
     cat::filter_query query{};
     query.libraries = {cat::gate_library_kind::qca_one};
     query.best_only = true;
@@ -85,15 +85,8 @@ int main()
 
     const auto dir = std::filesystem::temp_directory_path() / "mnt_bench_best_of_catalog";
     std::filesystem::remove_all(dir);
-    cat::export_options options{};
-    options.write_cell_level = true;
-    const auto report = cat::export_selection(catalog, selection, dir, options);
-    std::printf("exported %zu files (%zu skipped at cell level) to %s\n", report.written.size(),
-                report.skipped.size(), dir.string().c_str());
-    for (const auto& note : report.skipped)
-    {
-        std::printf("  skipped: %.100s\n", note.c_str());
-    }
+    const auto report = cat::export_selection(catalog, selection, dir);
+    std::printf("exported %zu files to %s\n", report.written.size(), dir.string().c_str());
     std::filesystem::remove_all(dir);
 
     return 0;

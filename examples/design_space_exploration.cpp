@@ -7,8 +7,6 @@
 ///        combination differs per function and beats any fixed flow.
 
 #include "benchmarks/functions.hpp"
-#include "gate_library/bestagon.hpp"
-#include "gate_library/qca_one.hpp"
 #include "physical_design/portfolio.hpp"
 #include "verification/equivalence.hpp"
 
@@ -50,14 +48,6 @@ int main()
 
     const auto hexagonal = pd::run_hexagonal_portfolio(network, params);
     report("Bestagon", hexagonal);
-
-    // cell-level handoff for the winners
-    if (const auto* best_hex = pd::best_by_area(hexagonal); best_hex != nullptr)
-    {
-        const auto cells = gl::apply_bestagon(best_hex->layout);
-        std::printf("Bestagon cell level: %zu dots, approx. %.0f nm^2\n", cells.num_cells(),
-                    gl::bestagon_physical_area_nm2(cells));
-    }
 
     return 0;
 }

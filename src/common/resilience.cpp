@@ -2,11 +2,9 @@
 
 #include "telemetry/eventlog.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 namespace mnt::res
@@ -16,7 +14,7 @@ namespace
 {
 
 /// splitmix64: the standard 64-bit finalizer-style mixer — deterministic,
-/// stateless, good enough for jitter and fault-firing decisions.
+/// stateless, good enough for fault-firing decisions.
 std::uint64_t mix64(std::uint64_t x) noexcept
 {
     x += 0x9e3779b97f4a7c15ULL;
@@ -48,53 +46,8 @@ const char* outcome_kind_name(const outcome_kind kind) noexcept
     return "internal_error";
 }
 
-double backoff_delay_s(const retry_policy& policy, const std::size_t attempt, const std::uint64_t salt) noexcept
-{
-    if (policy.backoff_base_s <= 0.0 || attempt < 2)
-    {
-        return 0.0;
-    }
-    double delay = policy.backoff_base_s;
-    for (std::size_t k = 2; k < attempt; ++k)
-    {
-        delay *= policy.backoff_factor;
-    }
-    const auto jitter = std::clamp(policy.jitter, 0.0, 1.0);
-    if (jitter > 0.0)
-    {
-        const auto u = unit_interval(mix64(policy.seed ^ mix64(salt ^ attempt)));
-        delay *= 1.0 - jitter + 2.0 * jitter * u;  // uniform in [(1-j)d, (1+j)d]
-    }
-    return delay;
-}
-
-void backoff_sleep(const double seconds, const deadline_clock& deadline)
-{
-    if (seconds <= 0.0)
-    {
-        return;
-    }
-    const auto capped = std::min(seconds, deadline.remaining_s());
-    if (capped <= 0.0)
-    {
-        return;
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double>(capped));
-}
-
 namespace detail
 {
-
-std::uint64_t label_salt(const std::string_view label) noexcept
-{
-    // FNV-1a over the label, mixed once for avalanche
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : label)
-    {
-        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-    }
-    return mix64(h);
-}
 
 void note_retry(const std::string_view label, const std::string_view kind, const std::size_t attempt)
 {

@@ -3,10 +3,10 @@
 /// \file resilience.hpp
 /// \brief Resilient execution for the layout-generation pipeline: structured
 ///        per-combination outcomes, a cooperative global run deadline, a
-///        bounded retry policy with jittered backoff, and a near-zero-cost
-///        fault-injection hook — the machinery that lets the portfolio
-///        degrade gracefully instead of losing every good result to one
-///        misbehaving algorithm × clocking × optimization combination.
+///        bounded retry policy, and a near-zero-cost fault-injection hook —
+///        the machinery that lets the portfolio degrade gracefully instead
+///        of losing every good result to one misbehaving algorithm ×
+///        clocking × optimization combination.
 ///
 /// Design constraints (see DESIGN.md "Failure semantics & resilience"):
 ///
@@ -19,10 +19,9 @@
 ///   it through a strided \ref deadline_guard and unwind with
 ///   \ref deadline_exceeded, so a global budget interrupts `exact`, the
 ///   annealer, `ortho` and the router without detached threads or signals.
-/// - **Deterministic retries.** Transient failures (verification failures of
-///   stochastic tools) are retried up to a bound with a jittered backoff
-///   computed from a counter hash — no wall-clock entropy, reproducible in
-///   tests.
+/// - **Deterministic retries.** Transient failures (verification failures
+///   of stochastic tools) are retried at once, up to a bound, under a
+///   shifted seed — there is no external resource to wait out.
 /// - **Zero cost when off.** Fault injection compiles to a single relaxed
 ///   atomic load per site when MNT_FAULT_INJECT is unset, and to nothing at
 ///   all under -DMNT_NO_FAULT_INJECTION.
@@ -242,59 +241,15 @@ struct combo_outcome
 
 // -------------------------------------------------------------- retry_policy
 
-/// Bounded retry with deterministic jittered exponential backoff. Only
-/// outcome kinds tagged transient are retried; everything else fails fast.
+/// Bounded retry. Only verification failures are transient: stochastic
+/// tools (the annealer, random input orderings) can succeed under a shifted
+/// seed. Everything else fails fast; worker-level kinds (crashed, hung) are
+/// retried at the job level by journal resume, never inside one process.
 struct retry_policy
 {
     /// Total attempts (1 = no retry).
     std::size_t max_attempts{1};
-
-    /// Backoff before attempt k (k >= 2):
-    /// backoff_base_s * backoff_factor^(k - 2), jittered. 0 retries
-    /// immediately — the right setting for seed-shift retries of in-process
-    /// stochastic tools (there is no external resource to wait out).
-    double backoff_base_s{0.0};
-    double backoff_factor{2.0};
-
-    /// Fraction of the delay that is randomized: the delay is drawn
-    /// uniformly from [(1 - jitter) * d, (1 + jitter) * d].
-    double jitter{0.5};
-
-    /// Seed of the deterministic jitter hash.
-    std::uint64_t seed{1};
-
-    /// Transient kinds. Verification failures are transient by default:
-    /// stochastic tools (the annealer, random input orderings) can succeed
-    /// under a shifted seed.
-    bool retry_verification{true};
-    bool retry_oom{false};
-    bool retry_internal{false};
-
-    [[nodiscard]] bool is_transient(const outcome_kind kind) const noexcept
-    {
-        switch (kind)
-        {
-            case outcome_kind::verification_failed: return retry_verification;
-            case outcome_kind::oom: return retry_oom;
-            case outcome_kind::internal_error: return retry_internal;
-            case outcome_kind::ok:
-            case outcome_kind::timeout: return false;
-            // worker-level kinds are retried at the job level (journal resume
-            // re-queues crashed jobs), never inside one process
-            case outcome_kind::crashed:
-            case outcome_kind::hung: return false;
-        }
-        return false;
-    }
 };
-
-/// Deterministic jittered delay before attempt \p attempt (>= 2) of the
-/// combination identified by \p salt. Pure function of (policy, attempt,
-/// salt) — no global RNG, no wall clock.
-[[nodiscard]] double backoff_delay_s(const retry_policy& policy, std::size_t attempt, std::uint64_t salt) noexcept;
-
-/// Sleeps for \p seconds, but never past \p deadline (returns early).
-void backoff_sleep(double seconds, const deadline_clock& deadline);
 
 // -------------------------------------------------------------- run_guarded
 
@@ -307,8 +262,6 @@ struct guard_params
 
 namespace detail
 {
-[[nodiscard]] std::uint64_t label_salt(std::string_view label) noexcept;
-
 /// Reports one retry of \p label (about to re-run after a transient
 /// \p kind on attempt \p attempt) to the structured event log. Out-of-line
 /// so this header does not pull in the event log.
@@ -330,16 +283,14 @@ void note_retry(std::string_view label, std::string_view kind, std::size_t attem
 /// | other std::exception          | internal_error      |
 /// | anything else (`...`)         | internal_error      |
 ///
-/// Transient outcomes (per \p params.retry) are retried up to
-/// retry.max_attempts with jittered backoff, never past the deadline. An
-/// already-expired deadline short-circuits to a timeout outcome without
-/// running \p body at all.
+/// Transient outcomes (see \ref retry_policy) are retried at once up to
+/// retry.max_attempts, never past the deadline. An already-expired deadline
+/// short-circuits to a timeout outcome without running \p body at all.
 template <typename F>
 [[nodiscard]] combo_outcome run_guarded(std::string label, const guard_params& params, F&& body)
 {
     combo_outcome outcome{};
     outcome.label = std::move(label);
-    const auto salt = detail::label_salt(outcome.label);
     const auto t0 = std::chrono::steady_clock::now();
 
     if (params.deadline.expired())
@@ -397,13 +348,12 @@ template <typename F>
             outcome.message = "unknown exception";
         }
 
-        if (!params.retry.is_transient(outcome.kind) || attempt >= params.retry.max_attempts ||
+        if (outcome.kind != outcome_kind::verification_failed || attempt >= params.retry.max_attempts ||
             params.deadline.expired())
         {
             break;
         }
         detail::note_retry(outcome.label, outcome_kind_name(outcome.kind), attempt);
-        backoff_sleep(backoff_delay_s(params.retry, attempt + 1, salt), params.deadline);
     }
 
     outcome.elapsed_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

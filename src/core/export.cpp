@@ -1,11 +1,6 @@
 #include "core/export.hpp"
 
-#include "common/types.hpp"
-#include "gate_library/bestagon.hpp"
-#include "gate_library/qca_one.hpp"
 #include "io/fgl_writer.hpp"
-#include "io/qca_writer.hpp"
-#include "io/sqd_writer.hpp"
 #include "io/verilog_writer.hpp"
 
 #include <cctype>
@@ -41,32 +36,28 @@ std::string sanitize_filename(const std::string& raw)
 }
 
 export_report export_selection(const catalog& cat, const std::vector<const layout_record*>& selection,
-                               const std::filesystem::path& directory, const export_options& options)
+                               const std::filesystem::path& directory)
 {
     std::filesystem::create_directories(directory);
     export_report report{};
 
-    if (options.write_networks)
+    std::set<std::pair<std::string, std::string>> exported;
+    for (const auto* r : selection)
     {
-        std::set<std::pair<std::string, std::string>> exported;
-        for (const auto* r : selection)
+        const auto key = std::make_pair(r->benchmark_set, r->benchmark_name);
+        if (!exported.insert(key).second)
         {
-            const auto key = std::make_pair(r->benchmark_set, r->benchmark_name);
-            if (!exported.insert(key).second)
-            {
-                continue;
-            }
-            const auto* n = cat.find_network(r->benchmark_set, r->benchmark_name);
-            if (n == nullptr)
-            {
-                report.skipped.push_back("no network registered for " + r->benchmark_set + "/" +
-                                         r->benchmark_name);
-                continue;
-            }
-            const auto path = directory / (sanitize_filename(r->benchmark_set + "_" + r->benchmark_name) + ".v");
-            io::write_verilog_file(n->network, path);
-            report.written.push_back(path);
+            continue;
         }
+        const auto* n = cat.find_network(r->benchmark_set, r->benchmark_name);
+        if (n == nullptr)
+        {
+            report.skipped.push_back("no network registered for " + r->benchmark_set + "/" + r->benchmark_name);
+            continue;
+        }
+        const auto path = directory / (sanitize_filename(r->benchmark_set + "_" + r->benchmark_name) + ".v");
+        io::write_verilog_file(n->network, path);
+        report.written.push_back(path);
     }
 
     for (const auto* r : selection)
@@ -76,31 +67,6 @@ export_report export_selection(const catalog& cat, const std::vector<const layou
         const auto fgl_path = directory / (stem + ".fgl");
         io::write_fgl_file(r->layout, fgl_path);
         report.written.push_back(fgl_path);
-
-        if (options.write_cell_level)
-        {
-            try
-            {
-                if (r->library == gate_library_kind::qca_one)
-                {
-                    const auto cells = gl::apply_qca_one(r->layout);
-                    const auto path = directory / (stem + ".qca");
-                    io::write_qca_file(cells, path);
-                    report.written.push_back(path);
-                }
-                else
-                {
-                    const auto cells = gl::apply_bestagon(r->layout);
-                    const auto path = directory / (stem + ".sqd");
-                    io::write_sqd_file(cells, path);
-                    report.written.push_back(path);
-                }
-            }
-            catch (const mnt_error& e)
-            {
-                report.skipped.push_back(stem + ": " + e.what());
-            }
-        }
     }
 
     return report;

@@ -2,8 +2,8 @@
 
 /// \file export.hpp
 /// \brief File export of catalog content — the "download" function of the
-///        MNT Bench website: benchmark networks as Verilog, layouts as
-///        .fgl, and cell-level realizations as .qca / .sqd.
+///        MNT Bench website: benchmark networks as Verilog and layouts as
+///        .fgl.
 
 #include "core/catalog.hpp"
 
@@ -13,18 +13,6 @@
 
 namespace mnt::cat
 {
-
-/// Options of \ref export_selection.
-struct export_options
-{
-    /// Also write the benchmark networks as Verilog (.v).
-    bool write_networks{true};
-
-    /// Also compile and write cell-level layouts (.qca for QCA ONE,
-    /// .sqd for Bestagon). Requires decomposed networks for QCA ONE;
-    /// incompatible layouts are skipped with a note in the report.
-    bool write_cell_level{false};
-};
 
 /// Result of an export run.
 struct export_report
@@ -36,12 +24,11 @@ struct export_report
 /// Sanitizes a benchmark/algorithm label into a filename component.
 [[nodiscard]] std::string sanitize_filename(const std::string& raw);
 
-/// Writes the selected layouts (and optionally their networks) into
-/// \p directory, creating it if needed. File names follow
+/// Writes the selected layouts and their networks into \p directory,
+/// creating it if needed. File names follow
 /// `<set>_<name>_<library>_<clocking>_<algorithm>.<ext>`.
 [[nodiscard]] export_report export_selection(const catalog& cat,
                                              const std::vector<const layout_record*>& selection,
-                                             const std::filesystem::path& directory,
-                                             const export_options& options = {});
+                                             const std::filesystem::path& directory);
 
 }  // namespace mnt::cat

@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file xml.hpp
-/// \brief Minimal XML DOM used by the .fgl file format (and the cell-level
-///        writers). Supports elements, attributes, text content, comments,
-///        and the XML declaration — the subset a human-readable layout
-///        exchange format needs; DTDs, namespaces and CDATA are out of scope.
+/// \brief Minimal XML DOM used by the .fgl file format. Supports elements,
+///        attributes, text content, comments, and the XML declaration — the
+///        subset a human-readable layout exchange format needs; DTDs,
+///        namespaces and CDATA are out of scope.
 
 #include <map>
 #include <memory>

@@ -3,6 +3,7 @@
 #include "common/taskrt/taskrt.hpp"
 #include "common/types.hpp"
 #include "layout/layout_utils.hpp"
+#include "layout/routing.hpp"
 #include "network/transforms.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -194,22 +195,6 @@ private:
         return result;
     }
 
-    void establish(gate_level_layout& layout, const coordinate& src, const coordinate& dst,
-                   const std::vector<coordinate>& path)
-    {
-        for (const auto& p : path)
-        {
-            layout.place(p, gate_type::buf);
-        }
-        auto prev = src;
-        for (const auto& p : path)
-        {
-            layout.connect(prev, p);
-            prev = p;
-        }
-        layout.connect(prev, dst);
-    }
-
     void rip(gate_level_layout& layout, const coordinate& dst, const std::vector<coordinate>& path)
     {
         // remove the final link and the wire tiles (LIFO discipline: no
@@ -244,7 +229,7 @@ private:
         const auto src = tile_of[fis[j]];
         for (const auto& path : enumerate_paths(layout, src, t))
         {
-            establish(layout, src, t, path);
+            lyt::establish_path(layout, src, t, path);
             if (route_fanins(layout, i, t, j + 1))
             {
                 return true;

@@ -339,8 +339,6 @@ portfolio_run generate_portfolio(const logic_network& input, const portfolio_fla
         guard.deadline.attach_stop(params.stop);
     }
     guard.retry.max_attempts = std::max<std::size_t>(params.max_attempts, 1);
-    guard.retry.backoff_base_s = params.retry_backoff_s;
-    guard.retry.seed = params.seed;
 
     const auto nodes = placeable_nodes(network);
     const auto exact_applicable = params.try_exact && nodes <= params.exact_max_nodes;

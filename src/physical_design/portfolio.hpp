@@ -96,10 +96,6 @@ struct portfolio_params
     /// timeouts and hard errors fail fast.
     std::size_t max_attempts{2};
 
-    /// Base backoff before a retry in seconds (0 retries immediately, the
-    /// right setting for in-process seed-shift retries).
-    double retry_backoff_s{0.0};
-
     /// Incremental-regeneration hook: called with each combination label
     /// (e.g. "NPR@USE") before the combination runs; returning true skips it
     /// entirely — no layout, no outcome entry. Wired to the layout store's

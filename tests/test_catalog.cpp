@@ -217,25 +217,3 @@ TEST(ExportTest, WritesNetworksAndLayouts)
     EXPECT_EQ(verilog, 1u);
     std::filesystem::remove_all(dir);
 }
-
-TEST(ExportTest, CellLevelExportHandlesIncompatibleLayouts)
-{
-    const auto c = make_catalog();
-    filter_query query{};
-    query.best_only = true;
-    const auto selection = apply_filter(c, query);
-
-    const auto dir = std::filesystem::temp_directory_path() / "mnt_export_cells_test";
-    std::filesystem::remove_all(dir);
-    export_options options{};
-    options.write_networks = false;
-    options.write_cell_level = true;
-    const auto report = export_selection(c, selection, dir, options);
-
-    // every selected layout either produced a cell-level file (beyond its
-    // .fgl) or was skipped with a reason — nothing may fall through
-    ASSERT_GE(report.written.size(), selection.size());  // the .fgl files
-    const auto cell_files = report.written.size() - selection.size();
-    EXPECT_EQ(cell_files + report.skipped.size(), selection.size());
-    std::filesystem::remove_all(dir);
-}

@@ -245,6 +245,7 @@ TEST(FrontEndBinaries, EveryUsageErrorExitsTwoNamingTheFlagAndWritesNothing)
         {MNT_BENCH_CLI, "list --family-seed 0xZZ", "--family-seed"},
         {MNT_BENCH_CLI, "list --threads 1x", "--threads"},
         {MNT_BENCH_CLI, "generate --store fresh --jobs abc", "--jobs"},
+        {MNT_BENCH_CLI, "export --cell-level", "--cell-level"},
         {MNT_BENCH_CLI, "bogus", "unknown command 'bogus'"},
         {MNT_BENCH_SERVE, "--prot 8080", "--prot"},
         {MNT_BENCH_SERVE, "--port 70000", "--port"},

@@ -228,29 +228,6 @@ TEST_F(ResilienceTest, ExpiredDeadlineShortCircuitsWithoutRunningBody)
     EXPECT_EQ(calls, 0U);
 }
 
-TEST_F(ResilienceTest, BackoffIsDeterministicAndJittered)
-{
-    retry_policy policy{};
-    policy.backoff_base_s = 1.0;
-    policy.backoff_factor = 2.0;
-    policy.jitter = 0.5;
-    policy.seed = 42;
-
-    const auto salt = detail::label_salt("NPR@USE");
-    const auto first = backoff_delay_s(policy, 2, salt);
-    EXPECT_DOUBLE_EQ(first, backoff_delay_s(policy, 2, salt));  // pure function
-
-    // attempt 2 is jittered around backoff_base_s, attempt 3 around twice it
-    EXPECT_GE(first, 0.5);
-    EXPECT_LE(first, 1.5);
-    const auto second = backoff_delay_s(policy, 3, salt);
-    EXPECT_GE(second, 1.0);
-    EXPECT_LE(second, 3.0);
-
-    // distinct combinations draw distinct jitter
-    EXPECT_NE(first, backoff_delay_s(policy, 2, detail::label_salt("exact@RES")));
-}
-
 TEST_F(ResilienceTest, OutcomeKindNamesAreStable)
 {
     EXPECT_STREQ(outcome_kind_name(outcome_kind::ok), "ok");
