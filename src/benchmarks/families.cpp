@@ -77,7 +77,7 @@ std::string family_id(const family_spec& spec)
 
 std::string family_function_name(const std::size_t index)
 {
-    char buffer[16];
+    char buffer[24];  // "f" and up to 20 digits of a 64-bit index
     std::snprintf(buffer, sizeof buffer, "f%05zu", index);
     return std::string{buffer};
 }

@@ -48,7 +48,7 @@ struct benchmark_entry
     /// version, see \ref mnt::bm::family_id); empty for the curated Table I
     /// functions. Propagated through the portfolio into catalog records and
     /// the service's `family` facet.
-    std::string family;
+    std::string family{};
 
     /// Per-function generator seed within the family; 0 for curated entries.
     std::uint64_t family_seed{0};

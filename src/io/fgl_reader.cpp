@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mnt::io
@@ -18,7 +19,7 @@ namespace mnt::io
 namespace
 {
 
-std::int64_t parse_int(const std::string& text, const std::string& context, const std::size_t line)
+std::int64_t parse_int(const std::string_view text, const std::string& context, const std::size_t line)
 {
     std::int64_t value{};
     const auto* begin = text.data();
@@ -26,7 +27,7 @@ std::int64_t parse_int(const std::string& text, const std::string& context, cons
     const auto [ptr, ec] = std::from_chars(begin, end, value);
     if (ec != std::errc{} || ptr != end)
     {
-        throw parse_error{"invalid integer '" + text + "' in " + context, line};
+        throw parse_error{"invalid integer '" + std::string{text} + "' in " + context, line};
     }
     return value;
 }
@@ -45,7 +46,7 @@ std::int32_t checked_i32(const std::int64_t value, const std::string& context, c
     return static_cast<std::int32_t>(value);
 }
 
-lyt::coordinate parse_loc(const xml::element& loc, const std::string& context)
+lyt::coordinate parse_loc(const xml::node& loc, const std::string& context)
 {
     const auto x = checked_i32(parse_int(loc.child_text("x"), context + "/x", loc.line), context + "/x", loc.line);
     const auto y = checked_i32(parse_int(loc.child_text("y"), context + "/y", loc.line), context + "/y", loc.line);
@@ -65,25 +66,40 @@ lyt::coordinate parse_loc(const xml::element& loc, const std::string& context)
 
 lyt::gate_level_layout read_fgl(std::istream& input, const fgl_reader_options& options)
 {
-    MNT_SPAN("io/fgl_read");
     std::ostringstream buffer;
     buffer << input.rdbuf();
-    const auto document = buffer.str();
-    const auto root = xml::parse(document);
+    return read_fgl_string(buffer.str(), options);
+}
 
-    if (root->tag != "fgl")
+lyt::gate_level_layout read_fgl_file(const std::filesystem::path& path, const fgl_reader_options& options)
+{
+    std::ifstream file{path};
+    if (!file)
     {
-        throw parse_error{"root element must be <fgl>, got <" + root->tag + ">", root->line};
+        throw mnt_error{"cannot open .fgl file '" + path.string() + "'"};
     }
-    const auto* lay = root->child("layout");
+    return read_fgl(file, options);
+}
+
+lyt::gate_level_layout read_fgl_string(const std::string& document, const fgl_reader_options& options)
+{
+    MNT_SPAN("io/fgl_read");
+    const auto tree = xml::parse(document);
+    const auto& root = tree.root();
+
+    if (root.tag != "fgl")
+    {
+        throw parse_error{"root element must be <fgl>, got <" + std::string{root.tag} + ">", root.line};
+    }
+    const auto* lay = root.child("layout");
     if (lay == nullptr)
     {
-        throw parse_error{"missing <layout> element", root->line};
+        throw parse_error{"missing <layout> element", root.line};
     }
 
-    const auto name = lay->child_text("name");
-    const auto topo = lyt::topology_from_name(lay->child_text("topology"));
-    const auto clocking_kind = lyt::clocking_from_name(lay->child_text("clocking"));
+    const auto name = std::string{lay->child_text("name")};
+    const auto topo = lyt::topology_from_name(std::string{lay->child_text("topology")});
+    const auto clocking_kind = lyt::clocking_from_name(std::string{lay->child_text("clocking")});
 
     const auto* size = lay->child("size");
     if (size == nullptr)
@@ -159,7 +175,7 @@ lyt::gate_level_layout read_fgl(std::istream& input, const fgl_reader_options& o
         const auto type = ntk::gate_type_from_name(type_name);
         if (type == ntk::gate_type::none)
         {
-            throw parse_error{"unknown gate type '" + type_name + "'", gate->line};
+            throw parse_error{"unknown gate type '" + std::string{type_name} + "'", gate->line};
         }
         const auto* loc = gate->child("loc");
         if (loc == nullptr)
@@ -225,22 +241,6 @@ lyt::gate_level_layout read_fgl(std::istream& input, const fgl_reader_options& o
         tel::count("io.fgl.read_records", num_records);
     }
     return layout;
-}
-
-lyt::gate_level_layout read_fgl_file(const std::filesystem::path& path, const fgl_reader_options& options)
-{
-    std::ifstream file{path};
-    if (!file)
-    {
-        throw mnt_error{"cannot open .fgl file '" + path.string() + "'"};
-    }
-    return read_fgl(file, options);
-}
-
-lyt::gate_level_layout read_fgl_string(const std::string& document, const fgl_reader_options& options)
-{
-    std::istringstream stream{document};
-    return read_fgl(stream, options);
 }
 
 }  // namespace mnt::io

@@ -2,85 +2,165 @@
 
 #include "common/types.hpp"
 
-#include <cctype>
-#include <sstream>
+#include <algorithm>
 
 namespace mnt::io::xml
 {
 
-const element* element::child(const std::string& child_tag) const
+const node* node::child(const std::string_view child_tag) const
 {
-    for (const auto& c : children)
+    for (const node* c = this + 1; c < this + subtree; c += c->subtree)
     {
         if (c->tag == child_tag)
         {
-            return c.get();
+            return c;
         }
     }
     return nullptr;
 }
 
-std::vector<const element*> element::children_of(const std::string& child_tag) const
+std::vector<const node*> node::children_of(const std::string_view child_tag) const
 {
-    std::vector<const element*> result;
-    for (const auto& c : children)
+    std::vector<const node*> result;
+    for (const node* c = this + 1; c < this + subtree; c += c->subtree)
     {
         if (c->tag == child_tag)
         {
-            result.push_back(c.get());
+            result.push_back(c);
         }
     }
     return result;
 }
 
-const std::string& element::child_text(const std::string& child_tag) const
+std::string_view node::child_text(const std::string_view child_tag) const
 {
     const auto* c = child(child_tag);
     if (c == nullptr)
     {
-        throw parse_error{"missing element <" + child_tag + "> inside <" + tag + ">", line};
+        throw parse_error{"missing element <" + std::string{child_tag} + "> inside <" + std::string{tag} + ">", line};
     }
     return c->text;
 }
 
-element& element::add(const std::string& child_tag)
+const node& document::root() const
 {
-    children.push_back(std::make_unique<element>());
-    children.back()->tag = child_tag;
-    return *children.back();
+    return nodes.front();
 }
 
-element& element::add(const std::string& child_tag, const std::string& content)
+std::optional<std::string_view> document::attribute_of(const node& element, const std::string_view name) const
 {
-    auto& c = add(child_tag);
-    c.text = content;
-    return c;
+    std::optional<std::string_view> value;
+    for (const auto& a : attributes)
+    {
+        if (&nodes[a.owner] == &element && a.name == name)
+        {
+            value = a.value;
+        }
+    }
+    return value;
 }
 
 namespace
 {
 
+/// Whitespace as std::isspace sees it in the "C" locale.
+bool is_space(const char c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// Name characters: "C"-locale alphanumerics and _ - : .
+bool is_name_char(const char c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '_' || c == '-' ||
+           c == ':' || c == '.';
+}
+
+bool all_space(const std::string_view s)
+{
+    return std::all_of(s.begin(), s.end(), is_space);
+}
+
+std::string_view trim_left(std::string_view s)
+{
+    while (!s.empty() && is_space(s.front()))
+    {
+        s.remove_prefix(1);
+    }
+    return s;
+}
+
+std::string_view trim_right(std::string_view s)
+{
+    while (!s.empty() && is_space(s.back()))
+    {
+        s.remove_suffix(1);
+    }
+    return s;
+}
+
+/// Decodes the five predefined entity references; anything else after an
+/// '&' stays as it is.
+std::string unescape(const std::string_view s)
+{
+    static constexpr std::pair<std::string_view, char> entities[] = {
+        {"&amp;", '&'}, {"&lt;", '<'}, {"&gt;", '>'}, {"&quot;", '"'}, {"&apos;", '\''}};
+    std::string out;
+    out.reserve(s.size());
+    std::size_t i = 0;
+    while (i < s.size())
+    {
+        bool decoded = false;
+        if (s[i] == '&')
+        {
+            for (const auto& [entity, c] : entities)
+            {
+                if (s.compare(i, entity.size(), entity) == 0)
+                {
+                    out.push_back(c);
+                    i += entity.size();
+                    decoded = true;
+                    break;
+                }
+            }
+        }
+        if (!decoded)
+        {
+            out.push_back(s[i]);
+            ++i;
+        }
+    }
+    return out;
+}
+
 class parser
 {
 public:
-    explicit parser(const std::string& document) : doc{document} {}
+    parser(const std::string_view text, document& out) : doc{text}, out{out} {}
 
-    std::unique_ptr<element> parse_document()
+    void parse_document()
     {
         skip_misc();
-        auto root = parse_element();
+        parse_root();
         skip_misc();
         if (pos < doc.size())
         {
             throw parse_error{"content after the root element", line};
         }
-        return root;
     }
 
 private:
+    /// An element whose closing tag is still ahead.
+    struct open_element
+    {
+        std::size_t index;
+        /// Its first entry in \ref segments.
+        std::size_t first_segment;
+    };
+
     void skip_whitespace()
     {
-        while (pos < doc.size() && std::isspace(static_cast<unsigned char>(doc[pos])))
+        while (pos < doc.size() && is_space(doc[pos]))
         {
             if (doc[pos] == '\n')
             {
@@ -100,7 +180,7 @@ private:
             if (match("<?"))
             {
                 const auto end = doc.find("?>", pos);
-                if (end == std::string::npos)
+                if (end == std::string_view::npos)
                 {
                     throw parse_error{"unterminated XML declaration", line};
                 }
@@ -111,7 +191,7 @@ private:
             if (match("<!--"))
             {
                 const auto end = doc.find("-->", pos);
-                if (end == std::string::npos)
+                if (end == std::string_view::npos)
                 {
                     throw parse_error{"unterminated comment", line};
                 }
@@ -125,16 +205,11 @@ private:
 
     void count_lines(const std::size_t from, const std::size_t to)
     {
-        for (auto i = from; i < to && i < doc.size(); ++i)
-        {
-            if (doc[i] == '\n')
-            {
-                ++line;
-            }
-        }
+        line += static_cast<std::size_t>(std::count(doc.begin() + static_cast<std::ptrdiff_t>(from),
+                                                    doc.begin() + static_cast<std::ptrdiff_t>(to), '\n'));
     }
 
-    bool match(const std::string& s)
+    bool match(const std::string_view s)
     {
         if (doc.compare(pos, s.size(), s) == 0)
         {
@@ -149,11 +224,10 @@ private:
         return pos < doc.size() ? doc[pos] : '\0';
     }
 
-    std::string parse_name()
+    std::string_view parse_name()
     {
         const auto start = pos;
-        while (pos < doc.size() && (std::isalnum(static_cast<unsigned char>(doc[pos])) || doc[pos] == '_' ||
-                                    doc[pos] == '-' || doc[pos] == ':' || doc[pos] == '.'))
+        while (pos < doc.size() && is_name_char(doc[pos]))
         {
             ++pos;
         }
@@ -164,33 +238,52 @@ private:
         return doc.substr(start, pos - start);
     }
 
-    std::unique_ptr<element> parse_element()
+    /// \p s itself, or a decoded copy kept by the document when \p s holds
+    /// an entity reference.
+    std::string_view decode(const std::string_view s)
+    {
+        if (s.find('&') == std::string_view::npos)
+        {
+            return s;
+        }
+        return keep(unescape(s));
+    }
+
+    std::string_view keep(std::string s)
+    {
+        out.decoded.push_back(std::make_unique<std::string>(std::move(s)));
+        return *out.decoded.back();
+    }
+
+    /// Reads an opening tag and its attributes, appending the element to
+    /// the document. Returns false for an empty-element tag (`<tag/>`).
+    bool open_tag()
     {
         if (!match("<"))
         {
             throw parse_error{"expected '<'", line};
         }
-        auto elem = std::make_unique<element>();
-        elem->line = line;
-        elem->tag = parse_name();
+        const auto index = out.nodes.size();
+        out.nodes.push_back({});
+        out.nodes.back().line = line;
+        out.nodes.back().tag = parse_name();
 
-        // attributes
         while (true)
         {
             skip_whitespace();
             if (match("/>"))
             {
-                return elem;
+                return false;
             }
             if (match(">"))
             {
-                break;
+                return true;
             }
-            const auto attr = parse_name();
+            const auto name = parse_name();
             skip_whitespace();
             if (!match("="))
             {
-                throw parse_error{"expected '=' after attribute '" + attr + "'", line};
+                throw parse_error{"expected '=' after attribute '" + std::string{name} + "'", line};
             }
             skip_whitespace();
             const char quote = peek();
@@ -200,27 +293,76 @@ private:
             }
             ++pos;
             const auto end = doc.find(quote, pos);
-            if (end == std::string::npos)
+            if (end == std::string_view::npos)
             {
                 throw parse_error{"unterminated attribute value", line};
             }
-            elem->attributes[attr] = unescape(doc.substr(pos, end - pos));
+            out.attributes.push_back({index, name, decode(doc.substr(pos, end - pos))});
             count_lines(pos, end);
             pos = end + 1;
         }
+    }
 
-        // content
-        std::string text;
-        while (true)
+    /// The text of an element whose character data are segments[first..]:
+    /// their concatenation, trimmed and decoded. Only the first segment's
+    /// leading and the last segment's trailing whitespace are trimmed, so
+    /// the common case (one segment) stays a view into the document.
+    std::string_view element_text(const std::size_t first)
+    {
+        if (first == segments.size())
         {
+            return {};
+        }
+        auto last = segments.size() - 1;
+        while (all_space(segments[last]))
+        {
+            --last;  // stops at first, which holds non-space characters
+        }
+        if (last == first)
+        {
+            return decode(trim_right(trim_left(segments[first])));
+        }
+        std::string joined{trim_left(segments[first])};
+        for (auto i = first + 1; i < last; ++i)
+        {
+            joined += segments[i];
+        }
+        joined += trim_right(segments[last]);
+        return keep(unescape(joined));
+    }
+
+    void parse_root()
+    {
+        std::vector<open_element> open;
+        if (open_tag())
+        {
+            open.push_back({0, 0});
+        }
+        while (!open.empty())
+        {
+            const auto& current = open.back();
+            // character data up to the next markup; whitespace before the
+            // element's first non-space data would be trimmed, so it is
+            // not recorded
+            const auto markup = std::min(doc.find('<', pos), doc.size());
+            if (markup > pos)
+            {
+                const auto run = doc.substr(pos, markup - pos);
+                count_lines(pos, markup);
+                if (segments.size() > current.first_segment || !all_space(run))
+                {
+                    segments.push_back(run);
+                }
+                pos = markup;
+            }
             if (pos >= doc.size())
             {
-                throw parse_error{"unterminated element <" + elem->tag + ">", line};
+                throw parse_error{"unterminated element <" + std::string{out.nodes[current.index].tag} + ">", line};
             }
             if (doc.compare(pos, 4, "<!--") == 0)
             {
                 const auto end = doc.find("-->", pos);
-                if (end == std::string::npos)
+                if (end == std::string_view::npos)
                 {
                     throw parse_error{"unterminated comment", line};
                 }
@@ -232,146 +374,50 @@ private:
             {
                 pos += 2;
                 const auto closing = parse_name();
-                if (closing != elem->tag)
+                auto& element = out.nodes[current.index];
+                if (closing != element.tag)
                 {
-                    throw parse_error{"mismatched closing tag </" + closing + "> for <" + elem->tag + ">", line};
+                    throw parse_error{"mismatched closing tag </" + std::string{closing} + "> for <" +
+                                          std::string{element.tag} + ">",
+                                      line};
                 }
                 skip_whitespace();
                 if (!match(">"))
                 {
                     throw parse_error{"expected '>' after closing tag", line};
                 }
-                elem->text = trim(text);
-                return elem;
-            }
-            if (peek() == '<')
-            {
-                elem->children.push_back(parse_element());
+                element.text = element_text(current.first_segment);
+                element.subtree = out.nodes.size() - current.index;
+                segments.resize(current.first_segment);
+                open.pop_back();
                 continue;
             }
-            if (doc[pos] == '\n')
+            const auto index = out.nodes.size();
+            if (open_tag())
             {
-                ++line;
+                open.push_back({index, segments.size()});
             }
-            text.push_back(doc[pos]);
-            ++pos;
         }
     }
 
-    static std::string trim(const std::string& s)
-    {
-        std::size_t begin = 0;
-        std::size_t end = s.size();
-        while (begin < end && std::isspace(static_cast<unsigned char>(s[begin])))
-        {
-            ++begin;
-        }
-        while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1])))
-        {
-            --end;
-        }
-        return unescape(s.substr(begin, end - begin));
-    }
-
-    static std::string unescape(const std::string& s)
-    {
-        std::string out;
-        out.reserve(s.size());
-        std::size_t i = 0;
-        while (i < s.size())
-        {
-            if (s[i] == '&')
-            {
-                if (s.compare(i, 5, "&amp;") == 0)
-                {
-                    out.push_back('&');
-                    i += 5;
-                    continue;
-                }
-                if (s.compare(i, 4, "&lt;") == 0)
-                {
-                    out.push_back('<');
-                    i += 4;
-                    continue;
-                }
-                if (s.compare(i, 4, "&gt;") == 0)
-                {
-                    out.push_back('>');
-                    i += 4;
-                    continue;
-                }
-                if (s.compare(i, 6, "&quot;") == 0)
-                {
-                    out.push_back('"');
-                    i += 6;
-                    continue;
-                }
-                if (s.compare(i, 6, "&apos;") == 0)
-                {
-                    out.push_back('\'');
-                    i += 6;
-                    continue;
-                }
-            }
-            out.push_back(s[i]);
-            ++i;
-        }
-        return out;
-    }
-
-    const std::string& doc;
+    std::string_view doc;
+    document& out;
     std::size_t pos{0};
     std::size_t line{1};
+    /// Character data of the open elements, innermost last.
+    std::vector<std::string_view> segments;
 };
-
-void serialize_element(const element& elem, std::ostringstream& out, const int depth)
-{
-    const std::string indent(static_cast<std::size_t>(depth) * 2, ' ');
-    out << indent << '<' << elem.tag;
-    for (const auto& [k, v] : elem.attributes)
-    {
-        out << ' ' << k << "=\"" << escape(v) << '"';
-    }
-    if (elem.children.empty() && elem.text.empty())
-    {
-        out << "/>\n";
-        return;
-    }
-    out << '>';
-    if (elem.children.empty())
-    {
-        out << escape(elem.text) << "</" << elem.tag << ">\n";
-        return;
-    }
-    out << '\n';
-    if (!elem.text.empty())
-    {
-        out << indent << "  " << escape(elem.text) << '\n';
-    }
-    for (const auto& c : elem.children)
-    {
-        serialize_element(*c, out, depth + 1);
-    }
-    out << indent << "</" << elem.tag << ">\n";
-}
 
 }  // namespace
 
-std::unique_ptr<element> parse(const std::string& document)
+document parse(const std::string_view text)
 {
-    parser p{document};
-    return p.parse_document();
+    document result;
+    parser{text, result}.parse_document();
+    return result;
 }
 
-std::string serialize(const element& root)
-{
-    std::ostringstream out;
-    out << "<?xml version=\"1.0\" encoding=\"utf-8\"?>\n";
-    serialize_element(root, out, 0);
-    return out.str();
-}
-
-std::string escape(const std::string& raw)
+std::string escape(const std::string_view raw)
 {
     std::string out;
     out.reserve(raw.size());

@@ -286,9 +286,29 @@ struct catalog_server::connection
 };
 
 /// Per-thread epoll state. Each loop owns its connections outright; no
-/// cross-loop locking ever touches a connection.
+/// cross-loop locking ever touches a connection. The two fds stay open until
+/// the loop is destroyed, after its thread has been joined: stop() writes to
+/// wake_fd while the thread may still be draining, so the thread must never
+/// close it.
 struct catalog_server::event_loop
 {
+    event_loop() = default;
+    event_loop(const event_loop&) = delete;
+    event_loop& operator=(const event_loop&) = delete;
+    event_loop(event_loop&&) = delete;
+    event_loop& operator=(event_loop&&) = delete;
+
+    ~event_loop()
+    {
+        for (const int fd : {epoll_fd, wake_fd})
+        {
+            if (fd >= 0)
+            {
+                ::close(fd);
+            }
+        }
+    }
+
     int epoll_fd{-1};
     int wake_fd{-1};  ///< eventfd poked by stop()
     bool accept_armed{false};
@@ -587,10 +607,6 @@ void catalog_server::loop_thread(event_loop& loop)
     {
         close_connection(loop, fd);
     }
-    ::close(loop.epoll_fd);
-    ::close(loop.wake_fd);
-    loop.epoll_fd = -1;
-    loop.wake_fd = -1;
 }
 
 void catalog_server::accept_ready(event_loop& loop)
@@ -733,7 +749,7 @@ void catalog_server::connection_readable(event_loop& loop, connection& conn)
         return;
     }
 
-    process_input(loop, conn);
+    process_input(conn);
 
     if (conn.peer_closed)
     {
@@ -753,7 +769,7 @@ void catalog_server::connection_writable(event_loop& loop, connection& conn)
     flush_output(loop, conn);
 }
 
-void catalog_server::process_input(event_loop& loop, connection& conn)
+void catalog_server::process_input(connection& conn)
 {
     while (!conn.close_after_flush)
     {

@@ -124,7 +124,7 @@ struct http_request
     /// `Connection: keep-alive`).
     bool connection_close{false};
     /// Raw `If-None-Match` header value ("" when absent).
-    std::string if_none_match;
+    std::string if_none_match{};
 };
 
 /// A response ready for serialization.
@@ -236,7 +236,7 @@ private:
     void accept_ready(event_loop& loop);
     void connection_readable(event_loop& loop, connection& conn);
     void connection_writable(event_loop& loop, connection& conn);
-    void process_input(event_loop& loop, connection& conn);
+    void process_input(connection& conn);
     void flush_output(event_loop& loop, connection& conn);
     void sweep_deadlines(event_loop& loop);
     void close_connection(event_loop& loop, int fd);

@@ -83,6 +83,20 @@ std::uint64_t u64_from_hex(const std::string& text)
     return std::strtoull(text.c_str(), nullptr, 16);
 }
 
+/// Appends the rows of \p entries to \p out, comma-separated.
+template <typename Entry>
+void append_rows(std::string& out, const std::vector<Entry>& entries)
+{
+    for (std::size_t i = 0; i < entries.size(); ++i)
+    {
+        if (i != 0)
+        {
+            out.push_back(',');
+        }
+        out += entries[i].row;
+    }
+}
+
 }  // namespace
 
 std::string cache_key(const std::string& set, const std::string& name, const cat::gate_library_kind library,
@@ -248,6 +262,62 @@ std::filesystem::path layout_store::blob_dir() const
     return store_root / "blobs";
 }
 
+void layout_store::stored_network::render()
+{
+    auto entry = json_value::make_object();
+    entry.set("set", json_value{set});
+    entry.set("name", json_value{name});
+    entry.set("inputs", json_value{inputs});
+    entry.set("outputs", json_value{outputs});
+    entry.set("gates", json_value{gates});
+    if (!family.empty())
+    {
+        entry.set("family", json_value{family});
+    }
+    entry.set("blob", json_value{blob});
+    row = entry.dump();
+}
+
+void layout_store::stored_layout::render()
+{
+    auto entry = json_value::make_object();
+    entry.set("set", json_value{set});
+    entry.set("name", json_value{name});
+    entry.set("library", json_value{library});
+    entry.set("clocking", json_value{clocking});
+    entry.set("algorithm", json_value{algorithm});
+    entry.set("optimizations", strings_to_json(optimizations));
+    entry.set("width", json_value{std::uint64_t{width}});
+    entry.set("height", json_value{std::uint64_t{height}});
+    entry.set("area", json_value{area});
+    entry.set("gates", json_value{gates});
+    entry.set("wires", json_value{wires});
+    entry.set("crossings", json_value{crossings});
+    entry.set("runtime_s", json_value{runtime_s});
+    if (!family.empty())
+    {
+        entry.set("family", json_value{family});
+        entry.set("family_seed", json_value{hex_u64(family_seed)});
+    }
+    entry.set("blob", json_value{blob});
+    entry.set("cache_key", json_value{key});
+    row = entry.dump();
+}
+
+void layout_store::stored_failure::render()
+{
+    auto entry = json_value::make_object();
+    entry.set("set", json_value{set});
+    entry.set("name", json_value{name});
+    entry.set("library", json_value{library});
+    entry.set("combination", json_value{combination});
+    entry.set("kind", json_value{kind});
+    entry.set("message", json_value{message});
+    entry.set("elapsed_s", json_value{elapsed_s});
+    entry.set("attempts", json_value{attempts});
+    row = entry.dump();
+}
+
 void layout_store::load_manifest()
 {
     if (!std::filesystem::exists(manifest_path()))
@@ -325,6 +395,7 @@ merge_stats layout_store::absorb_manifest(const json_value& manifest, const std:
                 {
                     continue;  // already present (shard duplicated a network)
                 }
+                n.render();
                 stats.blob_ids.push_back(n.blob);
                 networks.push_back(std::move(n));
                 ++stats.networks;
@@ -370,6 +441,7 @@ merge_stats layout_store::absorb_manifest(const json_value& manifest, const std:
                 {
                     continue;  // layout or completed marker already known
                 }
+                l.render();
                 stats.blob_ids.push_back(l.blob);
                 layouts.push_back(std::move(l));
                 ++stats.layouts;
@@ -396,6 +468,7 @@ merge_stats layout_store::absorb_manifest(const json_value& manifest, const std:
                 f.message = entry.at("message").as_string();
                 f.elapsed_s = entry.at("elapsed_s").as_number();
                 f.attempts = entry.at("attempts").as_u64();
+                f.render();
                 // replace-by-combination, like put_failure: a rerun's result
                 // supersedes the previous record instead of accumulating
                 auto replaced = false;
@@ -430,7 +503,8 @@ merge_stats layout_store::absorb_manifest(const json_value& manifest, const std:
             {
                 if (keys.insert(key).second)
                 {
-                    completed.push_back(std::move(key));
+                    auto row = json_value{key}.dump();
+                    completed.push_back({std::move(key), std::move(row)});
                     ++stats.completed;
                 }
             }
@@ -497,6 +571,7 @@ std::string layout_store::put_network(const std::string& set, const std::string&
     n.gates = network.num_gates();
     n.family = family;
     n.blob = hash;
+    n.render();
     network_names.insert(set + "/" + name);
     networks.push_back(std::move(n));
     tel::count("store.networks_written");
@@ -543,6 +618,7 @@ std::string layout_store::put_layout(const cat::layout_record& record)
     l.family_seed = record.family_seed;
     l.blob = hash;
     l.key = key;
+    l.render();
     keys.insert(std::move(key));
     layouts.push_back(std::move(l));
     tel::count("store.layouts_written");
@@ -560,6 +636,7 @@ void layout_store::put_failure(const cat::failure_record& record)
     f.message = record.message;
     f.elapsed_s = record.elapsed_s;
     f.attempts = record.attempts;
+    f.render();
     // one record per combination: a rerun's retry replaces the old entry
     // instead of accumulating duplicates in the manifest
     for (auto& existing : failures)
@@ -579,7 +656,7 @@ void layout_store::mark_completed(const std::string& key)
 {
     if (keys.insert(key).second)
     {
-        completed.push_back(key);
+        completed.push_back({key, json_value{key}.dump()});
     }
 }
 
@@ -613,75 +690,19 @@ void layout_store::save()
                   return std::tie(a.set, a.name, a.library, a.combination) <
                          std::tie(b.set, b.name, b.library, b.combination);
               });
-    std::sort(completed.begin(), completed.end());
+    std::sort(completed.begin(), completed.end(),
+              [](const stored_marker& a, const stored_marker& b) { return a.key < b.key; });
 
-    auto manifest = json_value::make_object();
-    manifest.set("version", json_value{manifest_version});
-
-    auto networks_json = json_value::make_array();
-    for (const auto& n : networks)
-    {
-        auto entry = json_value::make_object();
-        entry.set("set", json_value{n.set});
-        entry.set("name", json_value{n.name});
-        entry.set("inputs", json_value{n.inputs});
-        entry.set("outputs", json_value{n.outputs});
-        entry.set("gates", json_value{n.gates});
-        if (!n.family.empty())
-        {
-            entry.set("family", json_value{n.family});
-        }
-        entry.set("blob", json_value{n.blob});
-        networks_json.push_back(std::move(entry));
-    }
-    manifest.set("networks", std::move(networks_json));
-
-    auto layouts_json = json_value::make_array();
-    for (const auto& l : layouts)
-    {
-        auto entry = json_value::make_object();
-        entry.set("set", json_value{l.set});
-        entry.set("name", json_value{l.name});
-        entry.set("library", json_value{l.library});
-        entry.set("clocking", json_value{l.clocking});
-        entry.set("algorithm", json_value{l.algorithm});
-        entry.set("optimizations", strings_to_json(l.optimizations));
-        entry.set("width", json_value{std::uint64_t{l.width}});
-        entry.set("height", json_value{std::uint64_t{l.height}});
-        entry.set("area", json_value{l.area});
-        entry.set("gates", json_value{l.gates});
-        entry.set("wires", json_value{l.wires});
-        entry.set("crossings", json_value{l.crossings});
-        entry.set("runtime_s", json_value{l.runtime_s});
-        if (!l.family.empty())
-        {
-            entry.set("family", json_value{l.family});
-            entry.set("family_seed", json_value{hex_u64(l.family_seed)});
-        }
-        entry.set("blob", json_value{l.blob});
-        entry.set("cache_key", json_value{l.key});
-        layouts_json.push_back(std::move(entry));
-    }
-    manifest.set("layouts", std::move(layouts_json));
-
-    auto failures_json = json_value::make_array();
-    for (const auto& f : failures)
-    {
-        auto entry = json_value::make_object();
-        entry.set("set", json_value{f.set});
-        entry.set("name", json_value{f.name});
-        entry.set("library", json_value{f.library});
-        entry.set("combination", json_value{f.combination});
-        entry.set("kind", json_value{f.kind});
-        entry.set("message", json_value{f.message});
-        entry.set("elapsed_s", json_value{f.elapsed_s});
-        entry.set("attempts", json_value{f.attempts});
-        failures_json.push_back(std::move(entry));
-    }
-    manifest.set("failures", std::move(failures_json));
-    manifest.set("completed", strings_to_json(completed));
-
-    write_file_atomic(manifest_path(), manifest.dump() + "\n");
+    std::string manifest = "{\"version\":" + json_value{manifest_version}.dump() + ",\"networks\":[";
+    append_rows(manifest, networks);
+    manifest += "],\"layouts\":[";
+    append_rows(manifest, layouts);
+    manifest += "],\"failures\":[";
+    append_rows(manifest, failures);
+    manifest += "],\"completed\":[";
+    append_rows(manifest, completed);
+    manifest += "]}\n";
+    write_file_atomic(manifest_path(), manifest);
     tel::count("store.manifest_saves");
 }
 

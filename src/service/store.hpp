@@ -175,7 +175,9 @@ public:
     /// Writes the manifest atomically and durably (fsync'd file + directory).
     /// Entries are emitted in canonical sorted order, so the manifest bytes
     /// are a pure function of the content set — a resumed run that converges
-    /// on the same content produces a byte-identical manifest. Blobs are
+    /// on the same content produces a byte-identical manifest. Every entry
+    /// renders its row when it enters the store (put, absorbed or replaced),
+    /// so a save sorts, concatenates the rows and writes. Blobs are
     /// already on disk at this point; a crash before save() loses manifest
     /// entries but never corrupts the store.
     ///
@@ -231,6 +233,10 @@ private:
         std::uint64_t family_seed{};
         std::string blob;
         std::string key;
+        /// This entry's manifest row, rendered from the fields above.
+        std::string row;
+
+        void render();
     };
 
     struct stored_network
@@ -242,6 +248,9 @@ private:
         std::uint64_t gates{};
         std::string family;  ///< synthetic-family id, empty for curated
         std::string blob;
+        std::string row;  ///< manifest row, rendered from the fields above
+
+        void render();
     };
 
     struct stored_failure
@@ -254,6 +263,17 @@ private:
         std::string message;
         double elapsed_s{};
         std::uint64_t attempts{};
+        std::string row;  ///< manifest row, rendered from the fields above
+
+        void render();
+    };
+
+    /// A completed-marker key and its manifest row (the key as a JSON
+    /// string).
+    struct stored_marker
+    {
+        std::string key;
+        std::string row;
     };
 
     void load_manifest();
@@ -266,7 +286,7 @@ private:
     std::vector<stored_network> networks;
     std::vector<stored_layout> layouts;
     std::vector<stored_failure> failures;
-    std::vector<std::string> completed;  ///< completed-marker keys, in order
+    std::vector<stored_marker> completed;
     std::unordered_set<std::string> keys;  ///< layout keys ∪ completed markers
     std::unordered_set<std::string> network_names;  ///< "set/name"
     std::vector<res::combo_outcome> issues;

@@ -245,7 +245,7 @@ TEST(SimdSimulateRows, MatchesPerWordSimulationOnEveryBackend)
     pbt::property<rows_case> prop{};
     prop.generate = [](pbt::rng& random)
     {
-        rows_case value{};
+        rows_case value;
         value.network = pbt::random_network(random);
         value.n = static_cast<std::size_t>(random.range(1, 9));
         value.pi_rows.resize(value.network.num_pis() * value.n);
@@ -300,7 +300,7 @@ TEST(SimdSimulateRows, MatchesPerWordSimulationOnEveryBackend)
         value.network = pbt::shrink_network(std::move(value.network),
                                             [&](const ntk::logic_network& candidate)
                                             {
-                                                rows_case probe{};
+                                                rows_case probe;
                                                 probe.network = candidate;
                                                 probe.n = value.n;
                                                 probe.pi_rows.assign(candidate.num_pis() * value.n, 0);
@@ -331,7 +331,7 @@ TEST(SimdWaveBlock, MatchesPerWordWaveSimulationOnEveryBackend)
     pbt::property<rows_case> prop{};
     prop.generate = [](pbt::rng& random)
     {
-        rows_case value{};
+        rows_case value;
         pbt::network_spec spec{};
         spec.max_pis = 4;
         spec.max_gates = 10;
@@ -417,7 +417,7 @@ TEST(SimdWaveBlock, MatchesPerWordWaveSimulationOnEveryBackend)
         value.network = pbt::shrink_network(std::move(value.network),
                                             [&](const ntk::logic_network& candidate)
                                             {
-                                                rows_case probe{};
+                                                rows_case probe;
                                                 probe.network = candidate;
                                                 probe.n = value.n;
                                                 probe.pi_rows.assign(candidate.num_pis() * value.n, 0);
@@ -461,7 +461,7 @@ TEST(SimdEquivalence, VerdictAndReasonIdenticalAcrossBackends)
     pbt::property<equivalence_case> prop{};
     prop.generate = [](pbt::rng& random)
     {
-        equivalence_case value{};
+        equivalence_case value;
         value.spec = pbt::random_network(random);
         if (random.chance(1, 2))
         {
@@ -510,7 +510,7 @@ TEST(SimdWaveEquivalence, VerdictAndReasonIdenticalAcrossBackends)
     pbt::property<equivalence_case> prop{};
     prop.generate = [](pbt::rng& random)
     {
-        equivalence_case value{};
+        equivalence_case value;
         pbt::network_spec spec{};
         spec.max_pis = 4;
         spec.max_gates = 10;

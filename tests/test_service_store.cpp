@@ -1,6 +1,8 @@
 #include "service/store.hpp"
 
+#include "benchmarks/families.hpp"
 #include "benchmarks/functions.hpp"
+#include "benchmarks/suites.hpp"
 #include "core/filters.hpp"
 #include "core/json_export.hpp"
 #include "io/fgl_writer.hpp"
@@ -8,6 +10,7 @@
 #include "physical_design/ortho.hpp"
 #include "service/hash.hpp"
 #include "service/json.hpp"
+#include "service/populate.hpp"
 #include "telemetry/eventlog.hpp"
 
 #include <gtest/gtest.h>
@@ -618,6 +621,95 @@ TEST(LayoutStoreTest, ManifestBytesAreIndependentOfIngestOrder)
         store.save();
     }
     EXPECT_EQ(read_file(dir_a.path / "manifest.json"), read_file(dir_b.path / "manifest.json"));
+}
+
+TEST(LayoutStoreTest, PopulatedManifestBytesAreUnchanged)
+{
+    // Trindade16 XOR and four functions of an aoi family, deterministic and
+    // journaled: the manifest is saved after every job
+    std::vector<bm::benchmark_entry> entries;
+    for (auto& entry : bm::trindade16())
+    {
+        if (entry.name == "XOR")
+        {
+            entries.push_back(std::move(entry));
+        }
+    }
+    auto spec = *bm::find_reference_family("aoi");
+    spec.count = 4;
+    spec.seed = 0x1234;
+    for (auto& entry : bm::family_entries(spec))
+    {
+        entries.push_back(std::move(entry));
+    }
+    populate_options options{};
+    options.deterministic = true;
+    options.journal = true;
+
+    const store_dir dir{"mnt_store_golden_manifest_test"};
+    const auto manifest = dir.path / "manifest.json";
+    // recorded from the save that built the whole manifest document per call
+    const char* golden = "1ea05e30e3f7ec330954f9ee9598d8d1";
+    {
+        layout_store store{dir.path};
+        const auto report = populate_store(store, entries, options);
+        ASSERT_EQ(report.jobs_run, report.jobs_total);
+        ASSERT_EQ(report.jobs_total, 10u);
+    }
+    EXPECT_EQ(content_hash(read_file(manifest)), golden);
+
+    // rows absorbed from the manifest save to the same bytes
+    {
+        layout_store store{dir.path};
+        store.save();
+    }
+    EXPECT_EQ(content_hash(read_file(manifest)), golden);
+}
+
+TEST(LayoutStoreTest, SaveRendersRowsFromFieldsNotFromTheOpenedManifest)
+{
+    // one entry per section, with members reordered, whitespace added, and
+    // a number and a hex seed spelled differently from the canonical form
+    const store_dir dir{"mnt_store_canonical_rows_test"};
+    std::filesystem::create_directories(dir.path);
+    write_file_atomic(dir.path / "manifest.json", R"({
+  "completed": [ "S/f|QCA ONE|exact@USE" ],
+  "failures": [
+    { "attempts": 1, "elapsed_s": 5e-1, "message": "no \"route\"", "kind": "timeout",
+      "combination": "exact@RES", "library": "QCA ONE", "name": "f", "set": "S" }
+  ],
+  "layouts": [
+    { "cache_key": "S/f|QCA ONE|ortho@2DDWave", "blob": "0123456789abcdef0123456789abcdef",
+      "family_seed": "0x00000000000012AB", "family": "fam", "runtime_s": 1.25e-1,
+      "crossings": 0, "wires": 3, "gates": 4, "area": 12, "height": 3, "width": 4,
+      "optimizations": [ "PLO" ], "algorithm": "ortho", "clocking": "2DDWave",
+      "library": "QCA ONE", "name": "f", "set": "S" }
+  ],
+  "networks": [
+    { "blob": "fedcba9876543210fedcba9876543210", "family": "fam",
+      "gates": 4, "outputs": 1, "inputs": 2, "name": "f", "set": "S" }
+  ],
+  "version": 2
+}
+)");
+    {
+        layout_store store{dir.path};
+        ASSERT_TRUE(store.open_issues().empty());
+        EXPECT_EQ(store.num_networks(), 1u);
+        EXPECT_EQ(store.num_layouts(), 1u);
+        EXPECT_EQ(store.num_failures(), 1u);
+        store.save();
+    }
+    EXPECT_EQ(read_file(dir.path / "manifest.json"),
+              R"({"version":2,"networks":[{"set":"S","name":"f","inputs":2,"outputs":1,"gates":4,"family":"fam",)"
+              R"("blob":"fedcba9876543210fedcba9876543210"}],"layouts":[{"set":"S","name":"f","library":"QCA ONE",)"
+              R"("clocking":"2DDWave","algorithm":"ortho","optimizations":["PLO"],"width":4,"height":3,"area":12,)"
+              R"("gates":4,"wires":3,"crossings":0,"runtime_s":0.125,"family":"fam",)"
+              R"("family_seed":"0x00000000000012ab","blob":"0123456789abcdef0123456789abcdef",)"
+              R"("cache_key":"S/f|QCA ONE|ortho@2DDWave"}],"failures":[{"set":"S","name":"f","library":"QCA ONE",)"
+              R"("combination":"exact@RES","kind":"timeout","message":"no \"route\"","elapsed_s":0.5,"attempts":1}],)"
+              R"("completed":["S/f|QCA ONE|exact@USE"]})"
+              "\n");
 }
 
 TEST(LayoutStoreTest, StaleTempFilesOfDeadWritersArePruned)
