@@ -28,21 +28,21 @@
 /// fail the gate — a renamed benchmark must not mask a real regression
 /// elsewhere, and a new one has no baseline yet.
 
+#include "common/read_file.hpp"
 #include "service/json.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 namespace
 {
 
+using mnt::read_file;
 using mnt::svc::json_value;
 
 /// Seconds per unit name; 0 for unknown units.
@@ -127,14 +127,7 @@ bool extract_entry(const json_value& entry, std::string& name, double& seconds)
 
 sample_map load_results(const std::string& path)
 {
-    std::ifstream in{path};
-    if (!in)
-    {
-        throw std::runtime_error{"cannot open '" + path + "'"};
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const auto document = json_value::parse(buffer.str());
+    const auto document = json_value::parse(read_file(path));
 
     const auto* benchmarks = document.find("benchmarks");
     if (benchmarks == nullptr || !benchmarks->is_array())

@@ -1,7 +1,8 @@
 /// \file micro_io.cpp
 /// \brief Engineering microbenchmarks (μ4–μ5): .fgl write and read, Verilog
 ///        parsing throughput, bit-parallel simulation, catalog filter
-///        latency, and the cost of serving one catalog page.
+///        latency, the cost of serving one catalog page, and the per-byte
+///        work of a request: a page's ETag and a blob file's read.
 
 #include "benchmarks/synthetic.hpp"
 #include "core/catalog.hpp"
@@ -15,12 +16,18 @@
 #include "network/simulation.hpp"
 #include "physical_design/ortho.hpp"
 #include "service/query.hpp"
+#include "service/snapshot.hpp"
+#include "service/store.hpp"
 
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <string>
+
+#include <unistd.h>
 
 namespace
 {
@@ -181,6 +188,53 @@ BENCHMARK_CAPTURE(query_page, area, svc::sort_key::area)->Unit(benchmark::kMicro
 BENCHMARK_CAPTURE(query_page, benchmark, svc::sort_key::benchmark)->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(query_page, algorithm, svc::sort_key::algorithm)->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(query_page, runtime, svc::sort_key::runtime)->Unit(benchmark::kMicrosecond);
+
+/// The ETag of one 10 KB catalog page: a deep page of page_catalog,
+/// repeated to exactly 10,240 bytes (serve_search's deep pages average
+/// 9.9 KB).
+void page_etag(benchmark::State& state)
+{
+    const svc::query_engine engine{page_catalog()};
+    svc::page_query query{};
+    query.offset = 300;
+    query.limit = 25;
+    const auto page = svc::page_json_string(engine.run(query));
+    std::string body;
+    while (body.size() < 10240)
+    {
+        body += page;
+    }
+    body.resize(10240);
+    for (auto _ : state)
+    {
+        const auto etag = svc::make_etag(body);
+        benchmark::DoNotOptimize(etag.data());
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * body.size()));
+}
+BENCHMARK(page_etag)->Unit(benchmark::kMicrosecond);
+
+/// Reads one 44 KB blob file (serve_search's downloads average 44 KB): the
+/// first 45,056 bytes of fgl_write's document.
+void blob_read(benchmark::State& state)
+{
+    constexpr std::size_t size = 45056;
+    const auto path =
+        std::filesystem::temp_directory_path() / ("mnt_micro_io_blob_" + std::to_string(::getpid()) + ".fgl");
+    {
+        auto document = io::write_fgl_string(pd::ortho(medium_network()));
+        document.resize(size);
+        std::ofstream{path, std::ios::binary} << document;
+    }
+    for (auto _ : state)
+    {
+        const auto bytes = svc::read_file(path);
+        benchmark::DoNotOptimize(bytes.data());
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * size));
+    std::filesystem::remove(path);
+}
+BENCHMARK(blob_read)->Name("read_file")->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,14 +1,13 @@
 #include "io/fgl_reader.hpp"
 
+#include "common/read_file.hpp"
 #include "common/types.hpp"
 #include "io/xml.hpp"
 #include "telemetry/telemetry.hpp"
 #include "verification/drc.hpp"
 
 #include <charconv>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,21 +63,9 @@ lyt::coordinate parse_loc(const xml::node& loc, const std::string& context)
 
 }  // namespace
 
-lyt::gate_level_layout read_fgl(std::istream& input, const fgl_reader_options& options)
-{
-    std::ostringstream buffer;
-    buffer << input.rdbuf();
-    return read_fgl_string(buffer.str(), options);
-}
-
 lyt::gate_level_layout read_fgl_file(const std::filesystem::path& path, const fgl_reader_options& options)
 {
-    std::ifstream file{path};
-    if (!file)
-    {
-        throw mnt_error{"cannot open .fgl file '" + path.string() + "'"};
-    }
-    return read_fgl(file, options);
+    return read_fgl_string(read_file(path), options);
 }
 
 lyt::gate_level_layout read_fgl_string(const std::string& document, const fgl_reader_options& options)

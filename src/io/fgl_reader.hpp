@@ -12,13 +12,12 @@
 #include "layout/gate_level_layout.hpp"
 
 #include <filesystem>
-#include <istream>
 #include <string>
 
 namespace mnt::io
 {
 
-/// Options for \ref read_fgl.
+/// Options for \ref read_fgl_string.
 struct fgl_reader_options
 {
     /// Run \ref mnt::ver::gate_level_drc after loading and throw
@@ -26,18 +25,18 @@ struct fgl_reader_options
     bool run_drc{false};
 };
 
-/// Parses an .fgl document from \p input.
+/// Parses an .fgl document from an in-memory string, in place.
 ///
 /// \throws mnt::parse_error on malformed documents,
 ///         mnt::design_rule_error on semantic violations
-[[nodiscard]] lyt::gate_level_layout read_fgl(std::istream& input, const fgl_reader_options& options = {});
-
-/// Convenience overload reading from a file.
-[[nodiscard]] lyt::gate_level_layout read_fgl_file(const std::filesystem::path& path,
-                                                   const fgl_reader_options& options = {});
-
-/// Parses an .fgl document from an in-memory string.
 [[nodiscard]] lyt::gate_level_layout read_fgl_string(const std::string& document,
                                                      const fgl_reader_options& options = {});
+
+/// Reads the file at \p path (\ref mnt::read_file) and parses it.
+///
+/// \throws mnt::mnt_error naming the path when the file cannot be read;
+///         otherwise as \ref read_fgl_string
+[[nodiscard]] lyt::gate_level_layout read_fgl_file(const std::filesystem::path& path,
+                                                   const fgl_reader_options& options = {});
 
 }  // namespace mnt::io

@@ -1,16 +1,17 @@
 #include "io/verilog_reader.hpp"
 
+#include "common/read_file.hpp"
 #include "common/types.hpp"
 #include "network/gate_type.hpp"
 #include "telemetry/telemetry.hpp"
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -45,18 +46,10 @@ struct token
 class tokenizer
 {
 public:
-    explicit tokenizer(std::istream& input)
+    /// Tokenizes \p source in place; the tokens copy their texts.
+    explicit tokenizer(const std::string_view source)
     {
-        std::ostringstream buffer;
-        buffer << input.rdbuf();
-        source = buffer.str();
-        tokenize();
-    }
-
-    /// Size of the buffered source text (telemetry: bytes read).
-    [[nodiscard]] std::size_t num_source_bytes() const noexcept
-    {
-        return source.size();
+        tokenize(source);
     }
 
     [[nodiscard]] const token& peek(const std::size_t ahead = 0) const
@@ -81,7 +74,7 @@ public:
     }
 
 private:
-    void tokenize()
+    void tokenize(const std::string_view source)
     {
         std::size_t line = 1;
         std::size_t i = 0;
@@ -149,7 +142,7 @@ private:
                         ++i;
                     }
                 }
-                tokens.push_back({token::kind::identifier, source.substr(start, i - start), line});
+                tokens.push_back({token::kind::identifier, std::string{source.substr(start, i - start)}, line});
                 continue;
             }
             // sized constants like 1'b0 / 1'h1 and bare digits
@@ -177,25 +170,25 @@ private:
                     if (value != "0" && value != "1")
                     {
                         throw parse_error{"only single-bit constants are supported, got '" +
-                                              source.substr(start, i - start) + "'",
+                                              std::string{source.substr(start, i - start)} + "'",
                                           line};
                     }
-                    tokens.push_back({token::kind::constant, value, line});
+                    tokens.push_back({token::kind::constant, std::string{value}, line});
                 }
                 else
                 {
                     const auto value = source.substr(start, i - start);
                     if (value != "0" && value != "1")
                     {
-                        throw parse_error{"unexpected number '" + value + "'", line};
+                        throw parse_error{"unexpected number '" + std::string{value} + "'", line};
                     }
-                    tokens.push_back({token::kind::constant, value, line});
+                    tokens.push_back({token::kind::constant, std::string{value}, line});
                 }
                 continue;
             }
             // single-character symbols
-            static const std::string symbols = "()[],;=~&|^{}:?";
-            if (symbols.find(c) != std::string::npos)
+            static constexpr std::string_view symbols = "()[],;=~&|^{}:?";
+            if (symbols.find(c) != std::string_view::npos)
             {
                 tokens.push_back({token::kind::symbol, std::string(1, c), line});
                 ++i;
@@ -205,7 +198,6 @@ private:
         }
     }
 
-    std::string source;
     std::vector<token> tokens;
     std::size_t position{0};
     token sentinel{};
@@ -370,12 +362,7 @@ struct module_description
 class verilog_parser
 {
 public:
-    explicit verilog_parser(std::istream& input) : toks{input} {}
-
-    [[nodiscard]] std::size_t num_source_bytes() const noexcept
-    {
-        return toks.num_source_bytes();
-    }
+    explicit verilog_parser(const std::string_view source) : toks{source} {}
 
     module_description parse()
     {
@@ -769,10 +756,10 @@ private:
 
 }  // namespace
 
-logic_network read_verilog(std::istream& input, const std::string& name)
+logic_network read_verilog_string(const std::string& source, const std::string& name)
 {
     MNT_SPAN("io/verilog_read");
-    verilog_parser parser{input};
+    verilog_parser parser{source};
     auto mod = parser.parse();
     if (mod.name.empty())
     {
@@ -782,7 +769,7 @@ logic_network read_verilog(std::istream& input, const std::string& name)
     auto network = builder.build();
     if (tel::enabled())
     {
-        tel::count("io.verilog.read_bytes", parser.num_source_bytes());
+        tel::count("io.verilog.read_bytes", source.size());
         tel::count("io.verilog.read_records", network.num_gates());
     }
     return network;
@@ -790,18 +777,7 @@ logic_network read_verilog(std::istream& input, const std::string& name)
 
 logic_network read_verilog_file(const std::filesystem::path& path)
 {
-    std::ifstream file{path};
-    if (!file)
-    {
-        throw mnt_error{"cannot open Verilog file '" + path.string() + "'"};
-    }
-    return read_verilog(file, path.stem().string());
-}
-
-logic_network read_verilog_string(const std::string& source, const std::string& name)
-{
-    std::istringstream stream{source};
-    return read_verilog(stream, name);
+    return read_verilog_string(read_file(path), path.stem().string());
 }
 
 }  // namespace mnt::io

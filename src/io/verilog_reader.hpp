@@ -23,27 +23,25 @@
 #include "network/logic_network.hpp"
 
 #include <filesystem>
-#include <istream>
 #include <string>
 
 namespace mnt::io
 {
 
-/// Parses a Verilog module from \p input into a logic network.
+/// Parses a Verilog module from an in-memory string into a logic network,
+/// tokenizing \p source in place.
 ///
-/// \param input character stream with the Verilog source
+/// \param source the Verilog source text
 /// \param name fallback network name when the module has none
 /// \throws mnt::parse_error on syntax errors, undeclared nets, multiply
 ///         driven nets, or combinational cycles
-[[nodiscard]] ntk::logic_network read_verilog(std::istream& input, const std::string& name = "top");
-
-/// Convenience overload reading from a file.
-///
-/// \throws mnt::mnt_error if the file cannot be opened; mnt::parse_error on
-///         syntax errors
-[[nodiscard]] ntk::logic_network read_verilog_file(const std::filesystem::path& path);
-
-/// Parses a Verilog module from an in-memory string.
 [[nodiscard]] ntk::logic_network read_verilog_string(const std::string& source, const std::string& name = "top");
+
+/// Reads the file at \p path (\ref mnt::read_file) and parses it; the file's
+/// stem is the fallback network name.
+///
+/// \throws mnt::mnt_error naming the path if the file cannot be read;
+///         mnt::parse_error on syntax errors
+[[nodiscard]] ntk::logic_network read_verilog_file(const std::filesystem::path& path);
 
 }  // namespace mnt::io

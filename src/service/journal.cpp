@@ -1,5 +1,6 @@
 #include "service/journal.hpp"
 
+#include "common/read_file.hpp"
 #include "common/resilience.hpp"
 #include "common/types.hpp"
 #include "telemetry/eventlog.hpp"
@@ -8,8 +9,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include <fcntl.h>
@@ -154,14 +153,12 @@ void run_journal::run_end(const std::uint64_t jobs_run, const std::uint64_t jobs
 journal_replay journal_replay::replay(const std::filesystem::path& path)
 {
     journal_replay replay{};
-    std::ifstream in{path, std::ios::binary};
-    if (!in)
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec))
     {
         return replay;  // no journal: nothing to resume
     }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const auto text = buffer.str();
+    const auto text = read_file(path);
 
     // split into lines ourselves so a torn final line (no trailing newline,
     // or garbage after the last fsync'd record) is identifiable as such

@@ -133,29 +133,38 @@ http_response error_response(const int status, const std::string& message)
                        [&](const char* m) { return method == m; });
 }
 
-/// Renders the response head (+ body unless suppressed) for the wire.
-/// HEAD responses keep the would-be Content-Length with no body; 304
-/// responses carry neither content headers nor body (RFC 7232) but do
-/// repeat the ETag.
-[[nodiscard]] std::string serialize_response(const http_response& response, const bool keep_alive,
-                                             const bool head_only)
+/// Appends the response head (+ body unless suppressed) to \p wire, the
+/// connection's output buffer, so the body is copied once, straight to
+/// where send() reads it. HEAD responses keep the would-be Content-Length
+/// with no body; 304 responses carry neither content headers nor body
+/// (RFC 7232) but do repeat the ETag.
+void serialize_response(std::string& wire, const http_response& response, const bool keep_alive,
+                        const bool head_only)
 {
-    std::string wire = "HTTP/1.1 " + std::to_string(response.status) + " " + status_text(response.status) + "\r\n";
+    wire += "HTTP/1.1 ";
+    wire += std::to_string(response.status);
+    wire += ' ';
+    wire += status_text(response.status);
+    wire += "\r\n";
     if (response.status != 304)
     {
-        wire += "Content-Type: " + response.content_type + "\r\n";
-        wire += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
+        wire += "Content-Type: ";
+        wire += response.content_type;
+        wire += "\r\nContent-Length: ";
+        wire += std::to_string(response.body.size());
+        wire += "\r\n";
     }
     if (!response.etag.empty())
     {
-        wire += "ETag: \"" + response.etag + "\"\r\n";
+        wire += "ETag: \"";
+        wire += response.etag;
+        wire += "\"\r\n";
     }
     wire += keep_alive ? "Connection: keep-alive\r\n\r\n" : "Connection: close\r\n\r\n";
     if (!head_only && response.status != 304)
     {
         wire += response.body;
     }
-    return wire;
 }
 
 void set_nonblocking(const int fd) noexcept
@@ -757,7 +766,7 @@ void catalog_server::connection_readable(event_loop& loop, connection& conn)
         {
             // the peer left mid-request; answer 400 for the torn bytes
             tel::log_event(tel::log_severity::info, "server", "peer closed mid-request");
-            conn.outbuf += serialize_response(error_response(400, "malformed HTTP request"), false, false);
+            serialize_response(conn.outbuf, error_response(400, "malformed HTTP request"), false, false);
         }
         conn.close_after_flush = true;
     }
@@ -785,7 +794,7 @@ void catalog_server::process_input(connection& conn)
         if (parsed.status == http_parse_status::malformed)
         {
             tel::log_event(tel::log_severity::info, "server", "malformed HTTP request");
-            conn.outbuf += serialize_response(error_response(400, "malformed HTTP request"), false, false);
+            serialize_response(conn.outbuf, error_response(400, "malformed HTTP request"), false, false);
             conn.close_after_flush = true;
             return;
         }
@@ -793,7 +802,7 @@ void catalog_server::process_input(connection& conn)
         {
             tel::log_event(tel::log_severity::warn, "server", "request exceeds the size limit",
                            {{"max_bytes", std::to_string(options.max_request_bytes)}});
-            conn.outbuf += serialize_response(error_response(413, "request exceeds the size limit"), false, false);
+            serialize_response(conn.outbuf, error_response(413, "request exceeds the size limit"), false, false);
             conn.close_after_flush = true;
             return;
         }
@@ -815,7 +824,7 @@ void catalog_server::process_input(connection& conn)
         const bool close_now =
             parsed.request.connection_close || stopping.load() || response.status == 408;
         const bool head_only = parsed.request.method == "HEAD";
-        conn.outbuf += serialize_response(response, !close_now, head_only);
+        serialize_response(conn.outbuf, response, !close_now, head_only);
         if (close_now)
         {
             conn.close_after_flush = true;
@@ -892,8 +901,8 @@ void catalog_server::sweep_deadlines(event_loop& loop)
         count_always("server.read_timeouts");
         tel::log_event(tel::log_severity::warn, "server", "request read timed out",
                        {{"deadline_s", std::to_string(options.request_deadline_s)}});
-        conn.outbuf +=
-            serialize_response(error_response(408, "request was not received within the deadline"), false, false);
+        serialize_response(conn.outbuf, error_response(408, "request was not received within the deadline"), false,
+                           false);
         conn.close_after_flush = true;
         conn.reading = false;
         conn.inbuf.clear();
@@ -1171,8 +1180,21 @@ http_response catalog_server::download_response(const std::string& id)
     {
         if (const auto path = store->blob_path(id); path.has_value())
         {
+            std::string bytes;
+            try
+            {
+                bytes = read_file(*path);
+            }
+            catch (const mnt_error& e)
+            {
+                // the server failed, not the request; the detail names a
+                // server path, so it goes to the log and not to the client
+                tel::log_event(tel::log_severity::error, "server", "blob read failed",
+                               {{"id", id}, {"detail", e.what()}});
+                return error_response(500, "cannot read the blob of layout '" + id + "'");
+            }
             count_always("server.downloads");
-            return http_response{200, "application/xml", read_file(*path), id};
+            return http_response{200, "application/xml", std::move(bytes), id};
         }
     }
     const auto snap = snapshot();

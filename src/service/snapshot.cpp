@@ -61,7 +61,7 @@ std::string render_benchmarks_json(const query_engine& engine)
 
 std::string make_etag(const std::string_view body)
 {
-    return content_hash(body);
+    return hex_digits(murmur3_x64_128(body));
 }
 
 bool etag_matches(const std::string_view if_none_match, const std::string_view etag) noexcept

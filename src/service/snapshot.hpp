@@ -14,11 +14,14 @@
 ///        locking).
 ///
 /// ETag derivation: every catalog JSON body, pre-rendered or rendered per
-/// request, carries a strong validator — the 128-bit truncated SHA-256 of
-/// its exact bytes (\ref mnt::svc::content_hash), the same function that
-/// addresses store blobs. Two byte-identical bodies always share an ETag,
-/// any byte change produces a new one, and a /download/<id> response's
-/// ETag is the id itself (it already is the blob's content hash).
+/// request, carries a strong validator — MurmurHash3_x64_128 of its exact
+/// bytes (\ref mnt::svc::make_etag). Two byte-identical bodies always share
+/// an ETag, and any change to a body that a publish can bring about yields a
+/// new one: a page's bytes are a function of the published catalog, which no
+/// client controls, so a 128-bit non-cryptographic hash is enough and a
+/// cryptographic one would only cost time (SHA-256 was most of a rendered
+/// page's cost). A /download/<id> response's ETag is the id itself — the
+/// blob's SHA-256 content address (\ref mnt::svc::content_hash).
 
 #include "service/query.hpp"
 
@@ -67,8 +70,9 @@ struct catalog_snapshot
 /// byte-identity with a per-request render is therefore structural.
 [[nodiscard]] std::string render_benchmarks_json(const query_engine& engine);
 
-/// Strong ETag (unquoted) of a response body: its truncated-SHA-256
-/// content hash.
+/// Strong ETag (unquoted) of a response body: MurmurHash3_x64_128 of its
+/// bytes with seed 0, as the 32 lowercase hex digits of its 16 output bytes
+/// (h1, then h2, each little-endian).
 [[nodiscard]] std::string make_etag(std::string_view body);
 
 /// True when the `If-None-Match` header value \p if_none_match matches the

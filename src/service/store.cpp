@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <tuple>
 #include <utility>
 
@@ -167,17 +166,6 @@ void write_file_atomic(const std::filesystem::path& path, const std::string& byt
         ::fsync(dir_fd);  // best effort: some filesystems reject directory fsync
         ::close(dir_fd);
     }
-}
-
-std::string read_file(const std::filesystem::path& path)
-{
-    std::ifstream in{path, std::ios::binary};
-    if (!in)
-    {
-        throw mnt_error{"store: cannot open '" + path.string() + "'"};
-    }
-    std::string bytes{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
-    return bytes;
 }
 
 namespace

@@ -36,6 +36,7 @@
 ///   are deliberately NOT cached: a rerun retries them.
 
 #include "core/catalog.hpp"
+#include "common/read_file.hpp"
 #include "common/resilience.hpp"
 #include "network/logic_network.hpp"
 #include "service/json.hpp"
@@ -300,9 +301,10 @@ private:
 /// \throws mnt::mnt_error when the file cannot be written or renamed
 void write_file_atomic(const std::filesystem::path& path, const std::string& bytes);
 
-/// Reads a whole file into a string.
+/// Reads a whole file into a string: the library's one whole-file reader,
+/// \ref mnt::read_file.
 ///
-/// \throws mnt::mnt_error when the file cannot be opened
-[[nodiscard]] std::string read_file(const std::filesystem::path& path);
+/// \throws mnt::mnt_error naming the path when the file cannot be read
+using mnt::read_file;
 
 }  // namespace mnt::svc

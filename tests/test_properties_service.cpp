@@ -302,6 +302,56 @@ TEST(Store, RoundTripsArbitraryNetworksByteIdentically)
     MNT_RUN_PROPERTY(config, prop);
 }
 
+// ----------------------------------------------------------- page ETags
+
+/// A response body and the one byte of it to change.
+struct flipped_body
+{
+    std::string body;
+    std::size_t at{0};
+    std::uint8_t mask{1};  ///< XORed into body[at]; never 0
+};
+
+TEST(PageEtag, FlippingAnyOneByteChangesTheTag)
+{
+    const auto config = pbt::current_test_config("svc.etag.flip", 200);
+
+    pbt::property<flipped_body> prop{};
+    prop.generate = [](pbt::rng& random)
+    {
+        flipped_body value{};
+        // up to two deep pages; lengths cover every 16-byte tail
+        value.body.resize(static_cast<std::size_t>(random.range(1, 20000)));
+        for (auto& byte : value.body)
+        {
+            byte = static_cast<char>(random.below(256));
+        }
+        value.at = static_cast<std::size_t>(random.below(value.body.size()));
+        value.mask = static_cast<std::uint8_t>(random.range(1, 255));
+        return value;
+    };
+    prop.check = [](const flipped_body& value, const res::deadline_clock&)
+    {
+        auto flipped = value.body;
+        flipped[value.at] = static_cast<char>(static_cast<std::uint8_t>(flipped[value.at]) ^ value.mask);
+        const auto before = svc::make_etag(value.body);
+        const auto after = svc::make_etag(flipped);
+        if (before.size() != 32 || after.size() != 32)
+        {
+            return pbt::oracle_result::fail("an ETag is not 32 hex digits");
+        }
+        return before != after ? pbt::oracle_result::pass() :
+                                 pbt::oracle_result::fail("flipping byte " + std::to_string(value.at) +
+                                                          " kept the tag " + before);
+    };
+    prop.show = [](const flipped_body& value)
+    {
+        return std::to_string(value.body.size()) + "-byte body, byte " + std::to_string(value.at) + " ^= " +
+               std::to_string(value.mask);
+    };
+    MNT_RUN_PROPERTY(config, prop);
+}
+
 // ------------------------------------------------------------- HTTP stack
 
 std::string show_bytes(const std::string& bytes)

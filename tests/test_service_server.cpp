@@ -9,6 +9,7 @@
 #include "service/json.hpp"
 #include "service/query.hpp"
 #include "service/snapshot.hpp"
+#include "service/store.hpp"
 #include "telemetry/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -22,7 +23,11 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -297,7 +302,76 @@ protected:
     std::unique_ptr<query_engine> engine;
 };
 
+/// The fixture's catalog written to a store on disk, loaded back and served
+/// with the store attached, the way mnt_bench_serve serves a store: downloads
+/// read the blob files.
+class stored_server_fixture : public server_fixture
+{
+protected:
+    void SetUp() override
+    {
+        server_fixture::SetUp();
+        root = std::filesystem::temp_directory_path() / ("mnt_stored_server_test_" + std::to_string(::getpid()));
+        std::filesystem::remove_all(root);
+        {
+            layout_store writer{root};
+            const auto& network = catalog.networks().front();
+            network_id = writer.put_network(network.benchmark_set, network.benchmark_name, network.network);
+            for (const auto& record : catalog.layouts())
+            {
+                static_cast<void>(writer.put_layout(record));
+            }
+            writer.save();
+        }
+        store.emplace(root);
+        loaded = store->load();
+        ASSERT_TRUE(loaded.issues.empty());
+        ASSERT_EQ(loaded.layout_ids.size(), 2u);
+        stored_engine = std::make_shared<const query_engine>(loaded.catalog, loaded.layout_ids);
+        server = std::make_unique<catalog_server>(stored_engine);
+        server->attach_store(&*store);
+    }
+
+    void TearDown() override
+    {
+        server.reset();
+        std::error_code ec;
+        std::filesystem::remove_all(root, ec);
+    }
+
+    /// The blob file's bytes, read without the library's reader.
+    [[nodiscard]] static std::string file_bytes(const std::filesystem::path& path)
+    {
+        std::ifstream in{path, std::ios::binary};
+        return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+    }
+
+    std::filesystem::path root;
+    std::string network_id;
+    std::optional<layout_store> store;
+    store_snapshot loaded;
+    std::shared_ptr<const query_engine> stored_engine;
+    std::unique_ptr<catalog_server> server;
+};
+
 }  // namespace
+
+// ------------------------------------------------------------- page ETags
+
+TEST(PageEtagTest, IsMurmurHash3OfTheBody)
+{
+    // MurmurHash3_x64_128 with seed 0 leaves the empty input at zero
+    EXPECT_EQ(make_etag(""), "00000000000000000000000000000000");
+
+    // a fixed 10 KB body, the size of a deep catalog page
+    std::string page;
+    for (std::size_t i = 0; page.size() < 10240; ++i)
+    {
+        page += "{\"id\":" + std::to_string(i * 7919 % 10007) + ",\"area\":" + std::to_string(i % 97) + "},";
+    }
+    page.resize(10240);
+    EXPECT_EQ(make_etag(page), "4b782ebf86e44031f9a37826a0e0425c");
+}
 
 // --------------------------------------------------------- socketless routes
 
@@ -788,4 +862,105 @@ TEST_F(server_fixture, DownloadRejectsMalformedIds)
               404);
 
     server.stop();
+}
+
+// ----------------------------------------------------- downloads from a store
+
+TEST_F(stored_server_fixture, DownloadServesTheBlobFilesBytes)
+{
+    for (const auto& id : loaded.layout_ids)
+    {
+        const auto path = store->blob_path(id);
+        ASSERT_TRUE(path.has_value());
+        EXPECT_EQ(path->extension(), ".fgl");
+        const auto response = server->handle({"GET", "/download/" + id, "", ""});
+        ASSERT_EQ(response.status, 200) << response.body;
+        EXPECT_EQ(response.body, file_bytes(*path));
+        EXPECT_EQ(response.etag, id);
+        EXPECT_EQ(response.content_type, "application/xml");
+    }
+
+    // the network's blob is its Verilog document
+    const auto verilog = store->blob_path(network_id);
+    ASSERT_TRUE(verilog.has_value());
+    EXPECT_EQ(verilog->extension(), ".v");
+    const auto network = server->handle({"GET", "/download/" + network_id, "", ""});
+    ASSERT_EQ(network.status, 200);
+    EXPECT_EQ(network.body, file_bytes(*verilog));
+    EXPECT_NE(network.body.find("module"), std::string::npos);
+    EXPECT_EQ(network.etag, network_id);
+}
+
+TEST_F(stored_server_fixture, DownloadRevisitGets304AndUnknownIdsGet404)
+{
+    const auto& id = loaded.layout_ids.front();
+    http_request revisit{"GET", "/download/" + id, "", ""};
+    revisit.if_none_match = "\"" + id + "\"";
+    const auto not_modified = server->handle(revisit);
+    EXPECT_EQ(not_modified.status, 304);
+    EXPECT_EQ(not_modified.etag, id);
+    EXPECT_TRUE(not_modified.body.empty());
+
+    // well-formed, but neither a blob nor a layout of the engine
+    const auto unknown = server->handle({"GET", "/download/0123456789abcdef0123456789abcdef", "", ""});
+    EXPECT_EQ(unknown.status, 404);
+}
+
+TEST_F(stored_server_fixture, DeletedBlobFallsBackToTheEnginesBytes)
+{
+    const auto& id = loaded.layout_ids.front();
+    const auto path = store->blob_path(id);
+    ASSERT_TRUE(path.has_value());
+    const auto stored = file_bytes(*path);
+    std::filesystem::remove(*path);
+
+    const auto response = server->handle({"GET", "/download/" + id, "", ""});
+    ASSERT_EQ(response.status, 200);
+    EXPECT_EQ(response.body, io::write_fgl_string(loaded.catalog.layouts().front().layout));
+    EXPECT_EQ(response.body, stored);
+    EXPECT_EQ(response.etag, id);
+}
+
+TEST_F(stored_server_fixture, UnreadableBlobAnswers500WithoutTheStorePath)
+{
+    const auto& id = loaded.layout_ids.front();
+    const auto path = store->blob_path(id);
+    ASSERT_TRUE(path.has_value());
+    std::filesystem::remove(*path);
+    std::filesystem::create_directory(*path);  // open() succeeds, read() fails
+
+    const auto response = server->handle({"GET", "/download/" + id, "", ""});
+    EXPECT_EQ(response.status, 500);
+    const auto message = json_value::parse(response.body).at("error").at("message").as_string();
+    EXPECT_NE(message.find(id), std::string::npos) << message;
+    EXPECT_EQ(response.body.find(root.string()), std::string::npos) << response.body;
+    EXPECT_EQ(response.body.find("blobs"), std::string::npos) << response.body;
+}
+
+TEST_F(stored_server_fixture, DownloadOverLoopbackCarriesTheBlobBytes)
+{
+    server_options options{};
+    options.threads = 1;
+    catalog_server live{stored_engine, options};
+    live.attach_store(&*store);
+    live.start();
+    ASSERT_TRUE(live.running());
+
+    const auto& id = loaded.layout_ids.back();
+    const auto expected = file_bytes(store->blob_path(id).value());
+    keepalive_client client{live.port()};
+    client.send_raw(keepalive_get("/download/" + id));
+    const auto first = client.read_response();
+    ASSERT_EQ(first.status, 200);
+    EXPECT_EQ(first.body, expected);
+    EXPECT_EQ(first.header("Content-Length"), std::to_string(expected.size()));
+    EXPECT_EQ(first.header("ETag"), "\"" + id + "\"");
+
+    // the revisit on the same connection gets a bodiless 304
+    client.send_raw(keepalive_get("/download/" + id, "If-None-Match: \"" + id + "\"\r\n"));
+    const auto second = client.read_response();
+    EXPECT_EQ(second.status, 304);
+    EXPECT_TRUE(second.body.empty());
+
+    live.stop();
 }

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 using namespace mnt;
 using namespace mnt::svc;
@@ -181,6 +182,30 @@ TEST(ContentHashTest, MatchesSha256AcrossBlockBoundaries)
     EXPECT_EQ(content_hash(c), "c2a908d98f5df987ade41b5fce213067");
 }
 
+TEST(MurmurHashTest, PassesTheSmhasherVerification)
+{
+    // SMHasher's self-check: hash the keys {}, {0}, {0, 1}, ..., {0, ..., 254}
+    // with seed 256 - length, hash the 256 outputs (h1 then h2, each
+    // little-endian) with seed 0, and read the first 4 bytes little-endian
+    std::string key;
+    std::string outputs;
+    for (std::uint32_t length = 0; length < 256U; ++length)
+    {
+        const auto digest = murmur3_x64_128(key, 256U - length);
+        outputs.append(digest.cbegin(), digest.cend());
+        key.push_back(static_cast<char>(length));
+    }
+    const auto verification = murmur3_x64_128(outputs);
+    EXPECT_EQ(static_cast<std::uint32_t>(verification[0]) | static_cast<std::uint32_t>(verification[1]) << 8U |
+                  static_cast<std::uint32_t>(verification[2]) << 16U |
+                  static_cast<std::uint32_t>(verification[3]) << 24U,
+              0x6384BA69U);
+
+    // a 43-byte key: two blocks and an 11-byte tail
+    EXPECT_EQ(hex_digits(murmur3_x64_128("The quick brown fox jumps over the lazy dog")),
+              "6c1b07bc7bbc4be347939ac4a93c437a");
+}
+
 // ----------------------------------------------------------------- cache keys
 
 TEST(CacheKeyTest, EncodesProvenance)
@@ -207,6 +232,87 @@ TEST(StoreFileTest, AtomicWriteRoundTrip)
     write_file_atomic(path, "replaced");  // overwrite is atomic too
     EXPECT_EQ(read_file(path), "replaced");
     EXPECT_THROW(static_cast<void>(read_file(dir.path / "missing")), mnt_error);
+}
+
+namespace
+{
+
+/// The whole-file reader read_file replaced: an ifstream drained through
+/// istreambuf_iterator, kept as the reference for byte equality.
+std::string stream_read(const std::filesystem::path& path)
+{
+    std::ifstream in{path, std::ios::binary};
+    return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+}
+
+}  // namespace
+
+TEST(ReadFileTest, ReadsFilesOfEverySizeWhole)
+{
+    const store_dir dir{"mnt_read_file_sizes_test"};
+    std::filesystem::create_directories(dir.path);
+    std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+    for (const std::size_t size : {std::size_t{0}, std::size_t{1}, std::size_t{4096}, std::size_t{65536},
+                                   std::size_t{1} << 20U})
+    {
+        std::string payload(size, '\0');
+        for (auto& byte : payload)
+        {
+            state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+            byte = static_cast<char>(state >> 56U);
+        }
+        const auto path = dir.path / ("file-" + std::to_string(size));
+        {
+            std::ofstream out{path, std::ios::binary};
+            out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+        }
+        const auto bytes = read_file(path);
+        EXPECT_EQ(bytes.size(), size);
+        EXPECT_TRUE(bytes == payload) << "file of " << size << " bytes";
+    }
+}
+
+TEST(ReadFileTest, FailuresThrowMntErrorNamingThePath)
+{
+    const store_dir dir{"mnt_read_file_errors_test"};
+    std::filesystem::create_directories(dir.path / "a_directory");
+    for (const auto& path : {dir.path / "missing", dir.path / "a_directory"})
+    {
+        try
+        {
+            static_cast<void>(read_file(path));
+            ADD_FAILURE() << "no exception for " << path;
+        }
+        catch (const mnt_error& e)
+        {
+            EXPECT_NE(std::string{e.what()}.find(path.string()), std::string::npos) << e.what();
+        }
+    }
+}
+
+TEST(ReadFileTest, MatchesTheStreamReaderOnEveryStoreBlob)
+{
+    auto spec = *bm::find_reference_family("aoi");
+    spec.count = 4;
+    populate_options options{};
+    options.deterministic = true;
+    options.journal = false;
+    const store_dir dir{"mnt_read_file_blobs_test"};
+    {
+        layout_store store{dir.path};
+        const auto report = populate_store(store, bm::family_entries(spec), options);
+        ASSERT_EQ(report.jobs_run, report.jobs_total);
+    }
+    std::size_t blobs = 0;
+    for (const auto& entry : std::filesystem::directory_iterator{dir.path / "blobs"})
+    {
+        const auto bytes = read_file(entry.path());
+        EXPECT_FALSE(bytes.empty()) << entry.path();
+        EXPECT_TRUE(bytes == stream_read(entry.path())) << entry.path();
+        ++blobs;
+    }
+    EXPECT_GE(blobs, 8u);  // 4 networks and at least one layout each
+    EXPECT_EQ(read_file(dir.path / "manifest.json"), stream_read(dir.path / "manifest.json"));
 }
 
 // --------------------------------------------------------------------- store
