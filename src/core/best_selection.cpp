@@ -23,8 +23,7 @@ best_entry select_best(const catalog& cat, const std::string& set, const std::st
         {
             continue;
         }
-        if (entry.best == nullptr || r->area < entry.best->area ||
-            (r->area == entry.best->area && r->num_wires < entry.best->num_wires))
+        if (entry.best == nullptr || better_layout(*r, *entry.best))
         {
             entry.best = r;
         }

@@ -30,6 +30,16 @@ struct best_entry
     std::optional<double> delta_area_percent;
 };
 
+/// The best-layout rule: true if \p a beats \p b, i.e. \p a has the smaller
+/// area, or the same area and fewer wires. A tie beats neither record, so a
+/// selection that scans in catalog order keeps the first of tied records.
+/// \ref select_best, \ref apply_filter's best_only and the query engine's
+/// best_only all pick with this rule.
+[[nodiscard]] inline bool better_layout(const layout_record& a, const layout_record& b) noexcept
+{
+    return a.area < b.area || (a.area == b.area && a.num_wires < b.num_wires);
+}
+
 /// Baseline flow label for a library ("ortho" / "ortho, 45°").
 [[nodiscard]] std::string baseline_label(gate_library_kind library);
 

@@ -1,5 +1,6 @@
 #include "core/filters.hpp"
 
+#include "core/best_selection.hpp"
 #include "telemetry/telemetry.hpp"
 
 #include <algorithm>
@@ -73,8 +74,7 @@ std::vector<const layout_record*> apply_filter(const catalog& cat, const filter_
         for (const auto* r : selection)
         {
             auto& slot = best[{r->benchmark_set, r->benchmark_name, r->library}];
-            if (slot == nullptr || r->area < slot->area ||
-                (r->area == slot->area && r->num_wires < slot->num_wires))
+            if (slot == nullptr || better_layout(*r, *slot))
             {
                 slot = r;
             }

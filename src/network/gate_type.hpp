@@ -9,6 +9,7 @@
 /// inverters and fan-outs are explicit nodes because they occupy tiles in an
 /// FCN layout — the resource the MNT Bench benchmarks measure.
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -142,6 +143,20 @@ inline constexpr std::size_t num_gate_types = static_cast<std::size_t>(gate_type
         case gate_type::ge2: return a | ~b;
         case gate_type::maj3: return (a & b) | (a & c) | (b & c);
         default: return 0ull;
+    }
+}
+
+/// Row variant of \ref evaluate_gate_word: `dst[i] = evaluate_gate_word(t,
+/// a[i], b[i], c[i])` for every i < \p n. A null row reads as zero words, so
+/// \p b and \p c may be nullptr for arities below their position. \p dst may
+/// be one of the input rows: each word is read before it is written.
+constexpr void evaluate_gate_row(const gate_type t, std::uint64_t* dst, const std::uint64_t* a,
+                                 const std::uint64_t* b, const std::uint64_t* c, const std::size_t n) noexcept
+{
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        dst[i] = evaluate_gate_word(t, a != nullptr ? a[i] : 0ull, b != nullptr ? b[i] : 0ull,
+                                    c != nullptr ? c[i] : 0ull);
     }
 }
 

@@ -1,7 +1,6 @@
 #include "network/simulation.hpp"
 
 #include "common/types.hpp"
-#include "verification/simd/simd.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -147,8 +146,6 @@ std::vector<std::uint64_t> simulate_rows(const logic_network& network, const std
         throw precondition_error{"simulate_rows: num_pis * n input words required"};
     }
 
-    const auto& kernel = simd::kernels();
-
     std::vector<std::uint64_t> values(network.size() * n, 0ull);
     std::size_t pi_index = 0;
 
@@ -171,7 +168,7 @@ std::vector<std::uint64_t> simulate_rows(const logic_network& network, const std
                     const auto* a = fis.size() > 0 ? values.data() + static_cast<std::size_t>(fis[0]) * n : nullptr;
                     const auto* b = fis.size() > 1 ? values.data() + static_cast<std::size_t>(fis[1]) * n : nullptr;
                     const auto* c = fis.size() > 2 ? values.data() + static_cast<std::size_t>(fis[2]) * n : nullptr;
-                    kernel.gate_row(t, row, a, b, c, n);
+                    evaluate_gate_row(t, row, a, b, c, n);
                     break;
                 }
             }
@@ -200,8 +197,8 @@ std::vector<truth_table> simulate_truth_tables(const logic_network& network)
     std::vector<truth_table> tables(network.num_pos(), truth_table{k});
 
     // row-batched: evaluate up to `block_words` truth-table words per
-    // topological pass through the simd kernels. Bit-identical to the former
-    // one-word-per-pass loop (same variable patterns, pure bitwise kernels).
+    // topological pass with evaluate_gate_row. Bit-identical to one word per
+    // pass (same variable patterns, pure bitwise gates).
     constexpr std::uint64_t block_words = 256;
     std::vector<std::uint64_t> pi_rows;
 

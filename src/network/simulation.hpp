@@ -59,17 +59,17 @@ private:
                                                        const std::vector<std::uint64_t>& pi_words);
 
 /// Row-batched variant of \ref simulate_word: simulates \p n 64-assignment
-/// words per primary input in one topological pass, using the active
-/// \ref mnt::simd kernels for the per-gate row evaluation.
+/// words per primary input in one topological pass, evaluating each gate
+/// over whole rows with \ref evaluate_gate_row.
 ///
 /// \param pi_rows flat row-major input rows: word \c i of PI \c p lives at
 ///                `pi_rows[p * n + i]`; size must be num_pis() * n
 /// \returns flat row-major output rows: word \c i of PO \c o at
 ///          `result[o * n + i]`
 ///
-/// Bit-identical to calling \ref simulate_word once per word column — the
-/// kernels are pure bitwise arithmetic; the differential property suite
-/// enforces this.
+/// Bit-identical to calling \ref simulate_word once per word column — both
+/// evaluate every gate with \ref evaluate_gate_word, which is pure bitwise
+/// arithmetic; tests/test_properties_simd.cpp checks this.
 [[nodiscard]] std::vector<std::uint64_t> simulate_rows(const logic_network& network,
                                                        const std::vector<std::uint64_t>& pi_rows, std::size_t n);
 

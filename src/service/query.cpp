@@ -1,6 +1,7 @@
 #include "service/query.hpp"
 
 #include "common/json_escape.hpp"
+#include "core/best_selection.hpp"
 #include "io/fgl_writer.hpp"
 #include "service/hash.hpp"
 #include "telemetry/telemetry.hpp"
@@ -723,8 +724,8 @@ query_engine::posting_list query_engine::select(const cat::filter_query& query) 
 
     if (query.best_only)
     {
-        // identical selection rule to apply_filter: first area-minimal (ties:
-        // fewer wires) record per (set, name, library) in insertion order
+        // cat::better_layout, as in apply_filter: the first best record per
+        // (set, name, library) in insertion order
         std::map<std::tuple<std::string, std::string, cat::gate_library_kind>, std::uint32_t> best;
         for (const auto i : candidates)
         {
@@ -735,8 +736,7 @@ query_engine::posting_list query_engine::select(const cat::filter_query& query) 
                 best.emplace(std::make_tuple(r.benchmark_set, r.benchmark_name, r.library), i);
                 continue;
             }
-            const auto& current = record(slot->second);
-            if (r.area < current.area || (r.area == current.area && r.num_wires < current.num_wires))
+            if (cat::better_layout(r, record(slot->second)))
             {
                 slot->second = i;
             }

@@ -1194,7 +1194,10 @@ http_response catalog_server::download_response(const std::string& id)
                 return error_response(500, "cannot read the blob of layout '" + id + "'");
             }
             count_always("server.downloads");
-            return http_response{200, "application/xml", std::move(bytes), id};
+            // a network's blob is its Verilog document; layouts are .fgl XML
+            const auto* content_type =
+                path->native().ends_with(".v") ? "text/plain; charset=utf-8" : "application/xml";
+            return http_response{200, content_type, std::move(bytes), id};
         }
     }
     const auto snap = snapshot();

@@ -25,7 +25,9 @@
 ///     GET  /facets?...        facet histograms only (no rows)
 ///     GET  /best?...          area-minimal layout per function (best_only
 ///                             forced on)
-///     GET  /download/<id>     the stored .fgl blob (application/xml)
+///     GET  /download/<id>     the stored blob: a layout's .fgl
+///                             (application/xml) or a network's Verilog
+///                             (text/plain; charset=utf-8)
 ///
 /// HEAD is answered for every GET route with identical headers (including
 /// Content-Length and ETag) and an empty body; unknown methods get 501,

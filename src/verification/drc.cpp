@@ -2,6 +2,7 @@
 
 #include "common/taskrt/taskrt.hpp"
 #include "layout/layout_utils.hpp"
+#include "telemetry/telemetry.hpp"
 
 #include "common/types.hpp"
 
@@ -168,6 +169,7 @@ void check_acyclic(const gate_level_layout& layout, drc_report& report)
 
 drc_report gate_level_drc(const lyt::gate_level_layout& layout)
 {
+    MNT_SPAN("verification/drc");
     drc_report report{};
 
     // Row-batched fused sweep: one grid scan (instead of the historic

@@ -2,6 +2,7 @@
 
 #include "layout/layout_utils.hpp"
 #include "network/simulation.hpp"
+#include "telemetry/telemetry.hpp"
 
 #include <algorithm>
 #include <random>
@@ -92,10 +93,9 @@ equivalence_result check_equivalence(const logic_network& a, const logic_network
     result.formal = formal;
 
     // Row-batched compare: `canonical_rows` holds one n-word row per PI in
-    // a_pis order; both networks are simulated once per block through the
-    // simd kernels, then words are compared in word-major order so the first
-    // reported mismatch matches what the former one-word-per-round loop
-    // produced.
+    // a_pis order; both networks are simulated once per block with
+    // simulate_rows, then words are compared in word-major order so the first
+    // reported mismatch is the one a word-per-round loop would report.
     const auto compare_block = [&](const std::vector<std::uint64_t>& canonical_rows, const std::size_t n,
                                    const std::uint64_t mask) -> bool
     {
@@ -190,6 +190,7 @@ equivalence_result check_equivalence(const logic_network& a, const logic_network
 equivalence_result check_layout_equivalence(const logic_network& specification, const lyt::gate_level_layout& layout,
                                             const equivalence_options& options)
 {
+    MNT_SPAN("verification/equivalence");
     try
     {
         const auto extracted = lyt::extract_network(layout);

@@ -4,7 +4,7 @@
 #include "layout/layout_utils.hpp"
 #include "network/gate_type.hpp"
 #include "network/simulation.hpp"
-#include "verification/simd/simd.hpp"
+#include "telemetry/telemetry.hpp"
 
 #include <algorithm>
 #include <array>
@@ -154,8 +154,6 @@ wave_block_result wave_simulate_block(const gate_level_layout& layout, const std
         throw precondition_error{"wave_simulate_block: num_pis * n input words required"};
     }
 
-    const auto& kernel = simd::kernels();
-
     const auto w = static_cast<std::size_t>(layout.width());
     const auto h = static_cast<std::size_t>(layout.height());
     const auto row_index = [&](const coordinate& c) -> std::size_t
@@ -205,11 +203,11 @@ wave_block_result wave_simulate_block(const gate_level_layout& layout, const std
                 const auto* a = !in.empty() ? values.data() + row_index(in[0]) : nullptr;
                 const auto* b = in.size() > 1 ? values.data() + row_index(in[1]) : nullptr;
                 const auto* e = in.size() > 2 ? values.data() + row_index(in[2]) : nullptr;
-                kernel.gate_row(d.type, next.data(), a, b, e, n);
+                ntk::evaluate_gate_row(d.type, next.data(), a, b, e, n);
                 next_row = next.data();
             }
             auto* current = values.data() + row_index(c);
-            if (kernel.mismatch(current, next_row, n) != n)
+            if (!std::equal(current, current + n, next_row))
             {
                 std::copy_n(next_row, n, current);
                 changed = true;
@@ -445,6 +443,7 @@ wave_equivalence_result check_wave_equivalence(const ntk::logic_network& specifi
                                                const gate_level_layout& layout,
                                                const wave_equivalence_options& options)
 {
+    MNT_SPAN("verification/wave");
     wave_equivalence_result result{};
 
     // match PIs/POs by name
@@ -477,9 +476,9 @@ wave_equivalence_result check_wave_equivalence(const ntk::logic_network& specifi
     std::mt19937_64 rng{options.seed};
 
     // Row-batched: rounds are grouped into blocks and driven through the
-    // specification simulator and the wave simulator as whole rows via the
-    // simd kernels. Word-major comparison preserves the first-mismatch
-    // reporting of the former one-round-at-a-time loop.
+    // specification simulator and the wave simulator as whole rows.
+    // Word-major comparison reports the same first mismatch as one round at
+    // a time would.
     constexpr std::uint64_t block_rounds = 64;
 
     for (std::uint64_t r0 = 0; r0 < rounds; r0 += block_rounds)

@@ -75,11 +75,11 @@ struct wave_block_result
 
 /// Row-batched variant of \ref wave_simulate: runs \p n 64-assignment words
 /// per PI through the layout in one tick loop, evaluating every tile's
-/// function over whole rows with the active \ref mnt::simd kernels.
+/// function over whole rows with \ref mnt::ntk::evaluate_gate_row.
 ///
 /// Bit-identical to \p n independent \ref wave_simulate runs: tiles latch in
-/// the same zone-major/coordinate order, the kernels are pure bitwise
-/// arithmetic, and the stabilized state is a fixpoint of the tick map — a
+/// the same zone-major/coordinate order, gates are pure bitwise arithmetic,
+/// and the stabilized state is a fixpoint of the tick map — a
 /// lane that settles early is simply re-latched to the same values while
 /// slower lanes catch up.
 ///

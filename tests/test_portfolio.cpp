@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 using namespace mnt;
@@ -276,4 +277,28 @@ TEST(PortfolioTest, EmitsSpanPerAttemptedCombination)
                         [&](const auto& child) { return child->name == combo; });
         EXPECT_TRUE(emitted) << "no span for combination '" << combo << "'";
     }
+
+    // verify = true: every layout opens verification/equivalence once, and
+    // every layout of at most 400 occupied tiles verification/wave once,
+    // both nested under the portfolio's verify span
+    std::uint64_t equivalence_calls = 0;
+    std::uint64_t wave_calls = 0;
+    const std::function<void(const tel::span_node&)> walk = [&](const tel::span_node& node)
+    {
+        for (const auto& child : node.children)
+        {
+            if (child->name == "verification/equivalence" || child->name == "verification/wave")
+            {
+                EXPECT_EQ(node.name, "verify") << child->name << " opened outside the verify span";
+                (child->name == "verification/equivalence" ? equivalence_calls : wave_calls) += child->calls;
+            }
+            walk(*child);
+        }
+    };
+    walk(*report.trace);
+    const auto small = std::count_if(results.cbegin(), results.cend(),
+                                     [](const layout_result& r) { return r.layout.num_occupied() <= 400; });
+    EXPECT_EQ(equivalence_calls, results.size());
+    EXPECT_EQ(wave_calls, static_cast<std::uint64_t>(small));
+    EXPECT_GT(wave_calls, 0u);
 }

@@ -1,6 +1,7 @@
 #include "service/query.hpp"
 
 #include "benchmarks/families.hpp"
+#include "core/best_selection.hpp"
 #include "core/filters.hpp"
 #include "layout/clocking_scheme.hpp"
 #include "layout/gate_level_layout.hpp"
@@ -11,8 +12,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace mnt;
@@ -105,6 +109,80 @@ cat::filter_query make_random_filter(std::mt19937& rng)
     return query;
 }
 
+/// A catalog in which every (set, name, library) holds tied records. Each
+/// key gets 2 to 5 variants drawn from small pools: shapes of area 4 or 6
+/// (two shapes each), 0 to 2 wire tiles, random clockings, algorithms and
+/// optimizations. Equal area and wires with different labels or clockings
+/// are therefore common. Every key's variants are added once under
+/// `<name>` and once, in reverse order, under `<name>_rev`, so a tie-break
+/// by anything but catalog order shows in one of the two.
+cat::catalog make_tied_catalog(const std::uint32_t seed)
+{
+    struct variant
+    {
+        std::uint32_t width;
+        std::uint32_t height;
+        std::uint32_t wires;
+        lyt::clocking_kind clocking;
+        std::string algorithm;
+        bool plo;
+    };
+    static const std::vector<std::pair<std::uint32_t, std::uint32_t>> shapes{{2, 2}, {4, 1}, {2, 3}, {3, 2}};
+    static const std::vector<lyt::clocking_kind> clockings{lyt::clocking_kind::twoddwave, lyt::clocking_kind::use,
+                                                           lyt::clocking_kind::res};
+    static const std::vector<std::string> algorithms{"exact", "ortho", "NPR"};
+
+    std::mt19937 rng{seed};
+    const auto pick = [&rng](const auto& pool) { return pool[rng() % pool.size()]; };
+
+    cat::catalog catalog;
+    std::size_t serial = 0;
+    for (const std::string set : {"Trindade16", "Fontes18"})
+    {
+        for (const std::string name : {"mux21", "xor2", "c17"})
+        {
+            for (const auto library : {cat::gate_library_kind::qca_one, cat::gate_library_kind::bestagon})
+            {
+                std::vector<variant> variants(2 + rng() % 4);
+                for (auto& v : variants)
+                {
+                    const auto shape = pick(shapes);
+                    v = {shape.first, shape.second, static_cast<std::uint32_t>(rng() % 3), pick(clockings),
+                         pick(algorithms), rng() % 2 == 0};
+                }
+                for (const bool reversed : {false, true})
+                {
+                    for (std::size_t i = 0; i < variants.size(); ++i)
+                    {
+                        const auto& v = variants[reversed ? variants.size() - 1 - i : i];
+                        cat::layout_record record{};
+                        record.benchmark_set = set;
+                        record.benchmark_name = reversed ? name + "_rev" : name;
+                        record.library = library;
+                        record.algorithm = v.algorithm;
+                        if (v.plo)
+                        {
+                            record.optimizations.push_back("PLO");
+                        }
+                        // unique layout name => unique .fgl serialization => unique id
+                        record.layout = lyt::gate_level_layout{"tie" + std::to_string(serial++),
+                                                               lyt::layout_topology::cartesian,
+                                                               lyt::clocking_scheme::create(v.clocking), v.width,
+                                                               v.height};
+                        for (std::uint32_t x = 0; x < v.wires; ++x)
+                        {
+                            record.layout.place({static_cast<std::int32_t>(x), 0}, ntk::gate_type::buf);
+                        }
+                        record.clocking = record.layout.clocking().name();
+                        catalog.add_layout(std::move(record));
+                    }
+                }
+            }
+        }
+    }
+    return catalog;
+}
+
 /// A small catalog of the `aoi` reference family (two libraries per
 /// function) plus one curated row, so rendered pages carry the family fields
 /// and the family facet. Blank layouts keep the pages independent of any
@@ -165,6 +243,69 @@ TEST(QueryEngineTest, FilterMatchesApplyFilterOnRandomizedCatalog)
         const auto actual = engine.filter(query);
         ASSERT_EQ(expected, actual) << "round " << round;  // pointer-identical, same order
     }
+}
+
+// --------------------------------------------------------------- best layout
+
+TEST(BestLayoutTest, SelectBestApplyFilterAndEngineAgreeOnTies)
+{
+    using best_key = std::tuple<std::string, std::string, cat::gate_library_kind>;
+    std::size_t tied_keys = 0;
+    for (std::uint32_t seed = 1; seed <= 8; ++seed)
+    {
+        const auto catalog = make_tied_catalog(seed);
+        const query_engine engine{catalog};
+        cat::filter_query best_only{};
+        best_only.best_only = true;
+
+        std::map<best_key, const cat::layout_record*> scanned;
+        for (const auto* r : cat::apply_filter(catalog, best_only))
+        {
+            EXPECT_TRUE(scanned.emplace(best_key{r->benchmark_set, r->benchmark_name, r->library}, r).second);
+        }
+        std::map<best_key, const cat::layout_record*> indexed;
+        for (const auto* r : engine.filter(best_only))
+        {
+            EXPECT_TRUE(indexed.emplace(best_key{r->benchmark_set, r->benchmark_name, r->library}, r).second);
+        }
+
+        std::set<best_key> keys;
+        for (const auto& r : catalog.layouts())
+        {
+            keys.emplace(r.benchmark_set, r.benchmark_name, r.library);
+        }
+        EXPECT_EQ(scanned.size(), keys.size());
+        EXPECT_EQ(indexed.size(), keys.size());
+        for (const auto& key : keys)
+        {
+            const auto& [set, name, library] = key;
+            std::vector<const cat::layout_record*> records;
+            for (const auto* r : catalog.layouts_of(set, name))
+            {
+                if (r->library == library)
+                {
+                    records.push_back(r);
+                }
+            }
+            // the rule's winner: the first record, in catalog order, that no
+            // record beats
+            const auto unbeaten = [&](const cat::layout_record* r)
+            {
+                return std::none_of(records.cbegin(), records.cend(),
+                                    [&](const cat::layout_record* other) { return cat::better_layout(*other, *r); });
+            };
+            const auto first = std::find_if(records.cbegin(), records.cend(), unbeaten);
+            ASSERT_NE(first, records.cend());
+            tied_keys += std::count_if(records.cbegin(), records.cend(), unbeaten) > 1 ? 1u : 0u;
+
+            const auto context = set + " / " + name + " seed " + std::to_string(seed);
+            EXPECT_EQ(cat::select_best(catalog, set, name, library).best, *first) << context;
+            EXPECT_EQ(scanned[key], *first) << context;
+            EXPECT_EQ(indexed[key], *first) << context;
+        }
+    }
+    // the catalogs must really exercise the tie-break
+    EXPECT_GT(tied_keys, 20u);
 }
 
 TEST(QueryEngineTest, EmptyFilterReturnsWholeCatalogInCanonicalOrder)

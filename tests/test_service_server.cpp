@@ -889,6 +889,19 @@ TEST_F(stored_server_fixture, DownloadServesTheBlobFilesBytes)
     EXPECT_EQ(network.body, file_bytes(*verilog));
     EXPECT_NE(network.body.find("module"), std::string::npos);
     EXPECT_EQ(network.etag, network_id);
+    EXPECT_EQ(network.content_type, "text/plain; charset=utf-8");
+
+    // HEAD sends the same Content-Type and Content-Length over the wire
+    server->start();
+    const auto get = http_exchange(server->port(), get_request("/download/" + network_id));
+    const auto head = http_exchange(server->port(), request_line("HEAD", "/download/" + network_id, true));
+    server->stop();
+    ASSERT_EQ(get.status, 200);
+    ASSERT_EQ(head.status, 200);
+    EXPECT_EQ(get.header("Content-Type"), "text/plain; charset=utf-8");
+    EXPECT_EQ(head.header("Content-Type"), get.header("Content-Type"));
+    EXPECT_EQ(head.header("Content-Length"), std::to_string(network.body.size()));
+    EXPECT_TRUE(head.body.empty());
 }
 
 TEST_F(stored_server_fixture, DownloadRevisitGets304AndUnknownIdsGet404)
