@@ -11,6 +11,7 @@
 
 #include "core/export.hpp"
 #include "core/filters.hpp"
+#include "service/query.hpp"
 
 #include <cstdio>
 #include <filesystem>
@@ -36,7 +37,11 @@ int main()
     std::printf("  %-24s %zu\n", "Network (.v)", catalog.num_networks());
     std::printf("  %-24s %zu\n", "Gate-level (.fgl)", catalog.num_layouts());
 
-    const auto facets = cat::compute_facets(catalog);
+    // every answer below comes from the query engine, as on the website
+    const svc::query_engine engine{catalog};
+    svc::page_query everything{};
+    everything.limit = 0;
+    const auto facets = engine.run(everything).facets;
     const auto print_facet = [](const char* title, const std::map<std::string, std::size_t>& histogram)
     {
         std::printf("\n%s:\n", title);
@@ -56,21 +61,20 @@ int main()
 
     cat::filter_query query_use{};
     query_use.clockings = {"USE"};
-    std::printf("USE-clocked layouts:                   %zu\n", cat::apply_filter(catalog, query_use).size());
+    std::printf("USE-clocked layouts:                   %zu\n", engine.filter(query_use).size());
 
     cat::filter_query query_exact_bestagon{};
     query_exact_bestagon.libraries = {cat::gate_library_kind::bestagon};
     query_exact_bestagon.algorithms = {"exact"};
-    std::printf("Bestagon layouts from exact:           %zu\n",
-                cat::apply_filter(catalog, query_exact_bestagon).size());
+    std::printf("Bestagon layouts from exact:           %zu\n", engine.filter(query_exact_bestagon).size());
 
     cat::filter_query query_plo{};
     query_plo.required_optimizations = {"PLO"};
-    std::printf("Layouts with post-layout optimization: %zu\n", cat::apply_filter(catalog, query_plo).size());
+    std::printf("Layouts with post-layout optimization: %zu\n", engine.filter(query_plo).size());
 
     cat::filter_query query_best{};
     query_best.best_only = true;
-    const auto best = cat::apply_filter(catalog, query_best);
+    const auto best = engine.filter(query_best);
     std::printf("'Most optimal: Best' selection:        %zu\n", best.size());
 
     // the website's download: export the best selection as .v + .fgl files

@@ -1,12 +1,12 @@
 /// \file micro_io.cpp
 /// \brief Engineering microbenchmarks (μ4–μ5): .fgl write and read, Verilog
-///        parsing throughput, bit-parallel simulation, catalog filter
-///        latency, the cost of serving one catalog page, and the per-byte
-///        work of a request: a page's ETag and a blob file's read.
+///        parsing throughput, bit-parallel simulation, the cost of serving
+///        one catalog page (the query engine's filter, facets and window),
+///        and the per-byte work of a request: a page's ETag and a blob
+///        file's read.
 
 #include "benchmarks/synthetic.hpp"
 #include "core/catalog.hpp"
-#include "core/filters.hpp"
 #include "io/fgl_reader.hpp"
 #include "io/fgl_writer.hpp"
 #include "io/verilog_reader.hpp"
@@ -98,38 +98,6 @@ void word_simulation(benchmark::State& state)
     }
 }
 BENCHMARK(word_simulation)->Unit(benchmark::kMicrosecond)->Iterations(200);
-
-void catalog_filtering(benchmark::State& state)
-{
-    cat::catalog catalog;
-    const auto layout = pd::ortho(medium_network());
-    for (int i = 0; i < 200; ++i)
-    {
-        cat::layout_record record{};
-        record.benchmark_set = i % 2 == 0 ? "A" : "B";
-        record.benchmark_name = "f" + std::to_string(i % 10);
-        record.library = i % 3 == 0 ? cat::gate_library_kind::bestagon : cat::gate_library_kind::qca_one;
-        record.clocking = i % 4 == 0 ? "USE" : "2DDWave";
-        record.algorithm = i % 5 == 0 ? "exact" : "ortho";
-        if (i % 7 == 0)
-        {
-            record.optimizations = {"PLO"};
-        }
-        record.layout = layout;
-        catalog.add_layout(std::move(record));
-    }
-
-    cat::filter_query query{};
-    query.clockings = {"2DDWave"};
-    query.algorithms = {"ortho"};
-    query.best_only = true;
-    for (auto _ : state)
-    {
-        auto selection = cat::apply_filter(catalog, query);
-        benchmark::DoNotOptimize(selection.size());
-    }
-}
-BENCHMARK(catalog_filtering)->Unit(benchmark::kMicrosecond)->Iterations(500);
 
 /// 512 blank layouts with provenance spread over every facet: the query
 /// engine reads metadata and ids only, never gates.

@@ -11,6 +11,7 @@
 #include "core/export.hpp"
 #include "core/filters.hpp"
 #include "physical_design/portfolio.hpp"
+#include "service/query.hpp"
 
 #include <cstdio>
 #include <filesystem>
@@ -81,7 +82,8 @@ int main()
     cat::filter_query query{};
     query.libraries = {cat::gate_library_kind::qca_one};
     query.best_only = true;
-    const auto selection = cat::apply_filter(catalog, query);
+    const svc::query_engine engine{catalog};
+    const auto selection = engine.filter(query);
 
     const auto dir = std::filesystem::temp_directory_path() / "mnt_bench_best_of_catalog";
     std::filesystem::remove_all(dir);

@@ -7,6 +7,7 @@
 ///        against the single-tool previous state of the art.
 
 #include "core/catalog.hpp"
+#include "core/filters.hpp"
 
 #include <optional>
 #include <string>
@@ -31,13 +32,24 @@ struct best_entry
 };
 
 /// The best-layout rule: true if \p a beats \p b, i.e. \p a has the smaller
-/// area, or the same area and fewer wires. A tie beats neither record, so a
-/// selection that scans in catalog order keeps the first of tied records.
-/// \ref select_best, \ref apply_filter's best_only and the query engine's
-/// best_only all pick with this rule.
-[[nodiscard]] inline bool better_layout(const layout_record& a, const layout_record& b) noexcept
+/// area, or the same area and fewer wires, or the same area and wires and
+/// comes first in \ref canonical_layout_less order. The winner therefore
+/// does not depend on catalog order, which differs between an in-process
+/// catalog (portfolio order) and one loaded from a store (manifest order).
+/// Only records equal on the whole canonical key tie; a scan in catalog
+/// order keeps the first of them. \ref select_best and the query engine's
+/// best_only both pick with this rule.
+[[nodiscard]] inline bool better_layout(const layout_record& a, const layout_record& b)
 {
-    return a.area < b.area || (a.area == b.area && a.num_wires < b.num_wires);
+    if (a.area != b.area)
+    {
+        return a.area < b.area;
+    }
+    if (a.num_wires != b.num_wires)
+    {
+        return a.num_wires < b.num_wires;
+    }
+    return canonical_layout_less(a, b);
 }
 
 /// Baseline flow label for a library ("ortho" / "ortho, 45°").

@@ -5,7 +5,8 @@
 ///        users narrow the layout collection by gate library, clocking
 ///        scheme, physical design algorithm and optimization algorithms,
 ///        and can ask for the "most optimal" (area-minimal) layout per
-///        function.
+///        function. These are the query types; svc::query_engine
+///        (service/query.hpp) answers them.
 
 #include "core/catalog.hpp"
 
@@ -51,8 +52,9 @@ struct filter_query
 };
 
 /// Canonical deterministic ordering of layout records, used by every result
-/// surface (apply_filter, the service query engine, store round-trips) so
-/// that pages are byte-stable across runs and processes. Records compare by
+/// surface (the service query engine, store round-trips, the best-layout
+/// tie-break) so that pages are byte-stable across runs and processes.
+/// Records compare by
 ///
 ///   (benchmark_set, benchmark_name, library name, area, label(), clocking,
 ///    num_wires, num_crossings)
@@ -62,16 +64,11 @@ struct filter_query
 /// with std::stable_sort).
 [[nodiscard]] bool canonical_layout_less(const layout_record& a, const layout_record& b);
 
-/// Applies \p query to the catalog's layout collection. Results are returned
-/// in the canonical order of \ref canonical_layout_less (ties broken by
-/// catalog insertion order), so repeated runs — in the same process or after
-/// a store round-trip — produce byte-identical serializations.
-[[nodiscard]] std::vector<const layout_record*> apply_filter(const catalog& cat, const filter_query& query);
-
 /// Facet histograms over a layout selection — the counts the website shows
 /// next to each filter option. The maps are ordered: iteration yields facet
 /// values in ascending lexicographic (byte-wise) order of their names, so
-/// serialized facet blocks are deterministic too.
+/// serialized facet blocks are deterministic too. The query engine
+/// (service/query.hpp) computes them.
 struct facet_counts
 {
     std::map<std::string, std::size_t> per_set;
@@ -83,11 +80,5 @@ struct facet_counts
     /// counted.
     std::map<std::string, std::size_t> per_family;
 };
-
-/// Computes facet histograms over \p selection.
-[[nodiscard]] facet_counts compute_facets(const std::vector<const layout_record*>& selection);
-
-/// Convenience: facets over the whole catalog.
-[[nodiscard]] facet_counts compute_facets(const catalog& cat);
 
 }  // namespace mnt::cat

@@ -1,6 +1,7 @@
 #include "physical_design/hexagonalization.hpp"
 
 #include "common/types.hpp"
+#include "telemetry/telemetry.hpp"
 
 #include <algorithm>
 #include <limits>
@@ -17,6 +18,7 @@ using lyt::coordinate;
 
 lyt::gate_level_layout hexagonalization(const lyt::gate_level_layout& cartesian)
 {
+    MNT_SPAN("hexagonalization");
     if (cartesian.topology() != lyt::layout_topology::cartesian ||
         cartesian.clocking().kind() != lyt::clocking_kind::twoddwave)
     {

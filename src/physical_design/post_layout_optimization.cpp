@@ -3,6 +3,7 @@
 #include "common/types.hpp"
 #include "layout/net_surgery.hpp"
 #include "layout/routing.hpp"
+#include "telemetry/telemetry.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -166,6 +167,7 @@ std::size_t relocation_pass(net_surgeon& surgeon, const plo_params& params, std:
 gate_level_layout post_layout_optimization(const gate_level_layout& layout, const plo_params& params,
                                            plo_stats* stats)
 {
+    MNT_SPAN("plo");
     const auto start_time = std::chrono::steady_clock::now();
 
     auto result = layout;  // operate on a copy

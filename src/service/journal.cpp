@@ -4,6 +4,7 @@
 #include "common/resilience.hpp"
 #include "common/types.hpp"
 #include "telemetry/eventlog.hpp"
+#include "telemetry/telemetry.hpp"
 
 #include <cerrno>
 #include <chrono>
@@ -58,6 +59,7 @@ run_journal::~run_journal()
 
 void run_journal::append(json_value record)
 {
+    MNT_SPAN("journal/append");
     record.set("ts", json_value{wall_now_s()});
     auto line = record.dump();
     line.push_back('\n');

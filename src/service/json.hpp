@@ -3,9 +3,9 @@
 /// \file json.hpp
 /// \brief Minimal JSON document model for the benchmark service layer: a
 ///        recursive-descent parser and a deterministic writer. The store
-///        manifest (store.hpp) and the query wire format (query.hpp) both
-///        speak this dialect; the existing one-way exporters in
-///        core/json_export.hpp keep emitting text directly.
+///        manifest (store.hpp), the query wire format (query.hpp) and the
+///        catalog documents (/benchmarks and the export index,
+///        snapshot.hpp) all speak this dialect.
 ///
 /// Scope: full JSON values (null, booleans, numbers, strings, arrays,
 /// objects) with \uXXXX escape decoding (including surrogate pairs) to

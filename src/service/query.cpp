@@ -115,7 +115,18 @@ void append_list(std::string& out, const char* tag, const std::vector<std::strin
     }
 }
 
-json_value row_to_json(const cat::layout_record& r, const std::string& id)
+/// The facet maps in the order of their page blocks (and of
+/// query_engine::by_facet), with the block names.
+using facet_map = std::map<std::string, std::size_t>;
+constexpr std::array<facet_map cat::facet_counts::*, 6> facet_maps{
+    &cat::facet_counts::per_set,       &cat::facet_counts::per_library,      &cat::facet_counts::per_clocking,
+    &cat::facet_counts::per_algorithm, &cat::facet_counts::per_optimization, &cat::facet_counts::per_family};
+constexpr std::array<const char*, 6> facet_names{"sets",       "libraries",     "clockings",
+                                                 "algorithms", "optimizations", "families"};
+
+}  // namespace
+
+json_value layout_row_json(const cat::layout_record& r, const std::string& id)
 {
     auto row = json_value::make_object();
     row.set("id", json_value{id});
@@ -148,17 +159,6 @@ json_value row_to_json(const cat::layout_record& r, const std::string& id)
     }
     return row;
 }
-
-/// The facet maps in the order of their page blocks (and of
-/// query_engine::by_facet), with the block names.
-using facet_map = std::map<std::string, std::size_t>;
-constexpr std::array<facet_map cat::facet_counts::*, 6> facet_maps{
-    &cat::facet_counts::per_set,       &cat::facet_counts::per_library,      &cat::facet_counts::per_clocking,
-    &cat::facet_counts::per_algorithm, &cat::facet_counts::per_optimization, &cat::facet_counts::per_family};
-constexpr std::array<const char*, 6> facet_names{"sets",       "libraries",     "clockings",
-                                                 "algorithms", "optimizations", "families"};
-
-}  // namespace
 
 const char* sort_key_name(const sort_key key) noexcept
 {
@@ -601,7 +601,7 @@ query_engine::query_engine(const cat::catalog& cat, std::vector<std::string> ids
     rendered_rows.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i)
     {
-        rendered_rows.push_back(row_to_json(records[i], layout_ids[i]).dump());
+        rendered_rows.push_back(layout_row_json(records[i], layout_ids[i]).dump());
     }
 
     if (tel::enabled())
@@ -724,8 +724,8 @@ query_engine::posting_list query_engine::select(const cat::filter_query& query) 
 
     if (query.best_only)
     {
-        // cat::better_layout, as in apply_filter: the first best record per
-        // (set, name, library) in insertion order
+        // cat::better_layout, as in select_best: one record per
+        // (set, name, library), independent of insertion order
         std::map<std::tuple<std::string, std::string, cat::gate_library_kind>, std::uint32_t> best;
         for (const auto i : candidates)
         {

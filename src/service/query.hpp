@@ -2,20 +2,23 @@
 
 /// \file query.hpp
 /// \brief Indexed query engine over the catalog — the part of the MNT Bench
-///        platform that answers the website's Figure 1 facet queries at
-///        serving scale. Where core/filters.cpp scans every record per
-///        query, the engine builds inverted facet indexes (facet value →
-///        sorted posting list of record indexes) once at load time and
-///        answers queries by posting-list unions and intersections, then
+///        platform that answers the website's Figure 1 facet queries. It is
+///        the only production code that filters the catalog, counts facets
+///        and selects best-only rows: the server, the CLI, the examples and
+///        the benches all ask it. It builds inverted facet indexes (facet
+///        value → sorted posting list of record indexes) once at load time
+///        and answers queries by posting-list unions and intersections, then
 ///        adds pagination, sorting and facet histograms on top.
 ///
-/// Result semantics are identical to \ref mnt::cat::apply_filter by
-/// construction (and by test): same records, same canonical order
-/// (\ref mnt::cat::canonical_layout_less). The engine additionally assigns
-/// every layout a stable content-derived id — the download key of the HTTP
-/// server — either taken from the store snapshot or computed from the
-/// layout's canonical .fgl serialization (the two agree by definition of
-/// the store's content addressing).
+/// Results come in the canonical order
+/// (\ref mnt::cat::canonical_layout_less); best-only keeps one record per
+/// (set, function, library) by \ref mnt::cat::better_layout. The test suite
+/// checks every answer against a linear scan (\ref mnt::pbt::scan_filter,
+/// testing/oracles.hpp). The engine additionally assigns every layout a
+/// stable content-derived id — the download key of the HTTP server — either
+/// taken from the store snapshot or computed from the layout's canonical
+/// .fgl serialization (the two agree by definition of the store's content
+/// addressing).
 ///
 /// A small JSON wire format covers queries (`page_query::from_json`, query
 /// strings via `page_query::from_query_string`) and result pages
@@ -137,8 +140,8 @@ public:
     /// ids are computed from each layout's .fgl serialization.
     explicit query_engine(const cat::catalog& cat, std::vector<std::string> ids = {});
 
-    /// Answers \p query via the indexes. Result records and order are
-    /// identical to \ref mnt::cat::apply_filter on the same catalog.
+    /// Answers \p query via the indexes: the matching records in canonical
+    /// order.
     [[nodiscard]] std::vector<const cat::layout_record*> filter(const cat::filter_query& query) const;
 
     /// Runs the full page pipeline: filter → facets → the requested window
@@ -213,8 +216,8 @@ private:
     std::array<term_index, num_facets> by_facet;
     /// Record i's facet values are facet_terms[term_begin[i] ..
     /// term_begin[i + 1]), with value v of facet f numbered term_base[f] + v.
-    /// A repeated optimization tag repeats here, as cat::compute_facets
-    /// counts it twice.
+    /// A repeated optimization tag repeats here, so the facets count it
+    /// twice.
     std::vector<std::uint32_t> facet_terms;
     std::vector<std::uint32_t> term_begin;
     std::array<std::uint32_t, num_facets + 1> term_base{};
@@ -230,6 +233,12 @@ private:
     /// JSON object of each record's result row.
     std::vector<std::string> rendered_rows;
 };
+
+/// The JSON object of one layout row, as every page's "results" and the
+/// export index's "layouts" carry it (member order as shown for
+/// \ref page_json_string). The engine renders each record's row once, when
+/// it is built.
+[[nodiscard]] json_value layout_row_json(const cat::layout_record& record, const std::string& id);
 
 /// Serializes a result page:
 ///

@@ -30,6 +30,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace mnt::svc
 {
@@ -69,6 +70,28 @@ struct catalog_snapshot
 /// single rendering path — the snapshot builder calls it ahead of time and
 /// byte-identity with a per-request render is therefore structural.
 [[nodiscard]] std::string render_benchmarks_json(const query_engine& engine);
+
+/// Renders the catalog index that `mnt_bench_cli export --json` writes as
+/// index.json, as one compact document:
+///
+/// \code{.json}
+/// {"networks": [ ...the /benchmarks rows of the referenced functions... ],
+///  "layouts":  [ ...one /layouts row per selected record... ],
+///  "failures": [ {"set": ..., "name": ..., "library": ...,
+///                 "combination": "NPR@USE", "kind": "timeout",
+///                 "message": ..., "elapsed_s": t, "attempts": n}, ... ]}
+/// \endcode
+///
+/// Networks come in catalog order, each with its catalog-wide layout count;
+/// failures are those of the listed networks, in catalog order; layouts
+/// keep \p selection's order and are byte-identical to the rows the engine
+/// serves (\ref layout_row_json), so each "id" is the content hash of the
+/// layout's .fgl.
+///
+/// \throws mnt::precondition_error when a record of \p selection is not in
+///         engine.catalog()
+[[nodiscard]] std::string render_index_json(const query_engine& engine,
+                                            const std::vector<const cat::layout_record*>& selection);
 
 /// Strong ETag (unquoted) of a response body: MurmurHash3_x64_128 of its
 /// bytes with seed 0, as the 32 lowercase hex digits of its 16 output bytes

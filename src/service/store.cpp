@@ -532,6 +532,7 @@ merge_stats layout_store::merge_manifest_file(const std::filesystem::path& path)
 std::string layout_store::put_network(const std::string& set, const std::string& name,
                                       const ntk::logic_network& network, const std::string& family)
 {
+    MNT_SPAN("store/put");
     if (has_network(set, name))
     {
         for (const auto& n : networks)
@@ -568,6 +569,7 @@ std::string layout_store::put_network(const std::string& set, const std::string&
 
 std::string layout_store::put_layout(const cat::layout_record& record)
 {
+    MNT_SPAN("store/put");
     auto key = cache_key(record);
     if (keys.count(key) != 0)
     {
@@ -664,6 +666,7 @@ bool layout_store::remove_failure(const std::string& set, const std::string& nam
 
 void layout_store::save()
 {
+    MNT_SPAN("store/save");
     // canonical order: the manifest bytes must be a pure function of the
     // content set, independent of ingestion order — a resumed run and an
     // uninterrupted one then produce byte-identical manifests

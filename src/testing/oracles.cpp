@@ -1,6 +1,7 @@
 #include "testing/oracles.hpp"
 
 #include "common/types.hpp"
+#include "core/best_selection.hpp"
 #include "io/fgl_reader.hpp"
 #include "io/fgl_writer.hpp"
 #include "io/verilog_reader.hpp"
@@ -16,6 +17,7 @@
 #include "verification/wave_simulation.hpp"
 
 #include <algorithm>
+#include <map>
 #include <tuple>
 
 namespace mnt::pbt
@@ -455,11 +457,82 @@ oracle_result check_store_roundtrip(const ntk::logic_network& network, const std
     return oracle_result::pass();
 }
 
+std::vector<const cat::layout_record*> scan_filter(const cat::catalog& cat, const cat::filter_query& query)
+{
+    const auto admits = [](const auto& allowed, const auto& value)
+    { return allowed.empty() || std::find(allowed.cbegin(), allowed.cend(), value) != allowed.cend(); };
+
+    std::vector<const cat::layout_record*> selection;
+    for (const auto& r : cat.layouts())
+    {
+        if ((query.benchmark_set.has_value() && r.benchmark_set != *query.benchmark_set) ||
+            (query.benchmark_name.has_value() && r.benchmark_name != *query.benchmark_name) ||
+            !admits(query.libraries, r.library) || !admits(query.clockings, r.clocking) ||
+            !admits(query.algorithms, r.algorithm) || !admits(query.families, r.family))
+        {
+            continue;
+        }
+        const auto has_all_opts = std::all_of(
+            query.required_optimizations.cbegin(), query.required_optimizations.cend(),
+            [&](const std::string& opt)
+            { return std::find(r.optimizations.cbegin(), r.optimizations.cend(), opt) != r.optimizations.cend(); });
+        if (has_all_opts)
+        {
+            selection.push_back(&r);
+        }
+    }
+
+    if (query.best_only)
+    {
+        std::map<std::tuple<std::string, std::string, cat::gate_library_kind>, const cat::layout_record*> best;
+        for (const auto* r : selection)
+        {
+            auto& slot = best[{r->benchmark_set, r->benchmark_name, r->library}];
+            if (slot == nullptr || cat::better_layout(*r, *slot))
+            {
+                slot = r;
+            }
+        }
+        selection.clear();
+        for (const auto& [key, r] : best)
+        {
+            selection.push_back(r);
+        }
+    }
+
+    // stable: records equal on the whole canonical key keep catalog order
+    std::stable_sort(selection.begin(), selection.end(),
+                     [](const cat::layout_record* a, const cat::layout_record* b)
+                     { return cat::canonical_layout_less(*a, *b); });
+    return selection;
+}
+
+cat::facet_counts scan_facets(const std::vector<const cat::layout_record*>& selection)
+{
+    cat::facet_counts facets{};
+    for (const auto* r : selection)
+    {
+        ++facets.per_set[r->benchmark_set];
+        ++facets.per_library[cat::gate_library_name(r->library)];
+        ++facets.per_clocking[r->clocking];
+        ++facets.per_algorithm[r->algorithm];
+        for (const auto& opt : r->optimizations)
+        {
+            ++facets.per_optimization[opt];
+        }
+        if (!r->family.empty())
+        {
+            ++facets.per_family[r->family];
+        }
+    }
+    return facets;
+}
+
 oracle_result check_query_parity(const svc::query_engine& engine, const cat::catalog& cat,
                                  const cat::filter_query& query)
 {
     const auto indexed = engine.filter(query);
-    const auto scanned = cat::apply_filter(cat, query);
+    const auto scanned = scan_filter(cat, query);
     if (indexed.size() != scanned.size())
     {
         return oracle_result::fail("index returns " + std::to_string(indexed.size()) + " records, linear scan " +
@@ -479,7 +552,7 @@ oracle_result check_page_consistency(const svc::query_engine& engine, const cat:
                                      const svc::page_query& query)
 {
     const auto page = engine.run(query);
-    auto reference = cat::apply_filter(cat, query.filter);
+    auto reference = scan_filter(cat, query.filter);
 
     if (page.total != reference.size())
     {
@@ -534,7 +607,7 @@ oracle_result check_page_consistency(const svc::query_engine& engine, const cat:
         }
     }
 
-    const auto expected = query.include_facets ? cat::compute_facets(reference) : cat::facet_counts{};
+    const auto expected = query.include_facets ? scan_facets(reference) : cat::facet_counts{};
     if (page.facets.per_set != expected.per_set || page.facets.per_library != expected.per_library ||
         page.facets.per_clocking != expected.per_clocking || page.facets.per_algorithm != expected.per_algorithm ||
         page.facets.per_optimization != expected.per_optimization || page.facets.per_family != expected.per_family)

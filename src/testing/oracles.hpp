@@ -123,15 +123,28 @@ struct oracle_result
 [[nodiscard]] oracle_result check_store_roundtrip(const ntk::logic_network& network,
                                                   const std::filesystem::path& root);
 
-/// query_engine::filter == apply_filter on the same catalog: same records,
+/// The reference semantics of a filter query: a linear scan over every
+/// record of \p cat, one record per (set, name, library) by
+/// cat::better_layout when best_only is set, the result stable-sorted into
+/// canonical order (cat::canonical_layout_less). The query engine must
+/// return exactly these records in exactly this order.
+[[nodiscard]] std::vector<const cat::layout_record*> scan_filter(const cat::catalog& cat,
+                                                                 const cat::filter_query& query);
+
+/// The reference facet histograms of \p selection: every record counted once
+/// per facet, every optimization tag once per occurrence, family only when
+/// non-empty.
+[[nodiscard]] cat::facet_counts scan_facets(const std::vector<const cat::layout_record*>& selection);
+
+/// query_engine::filter == scan_filter on the same catalog: same records,
 /// same order.
 [[nodiscard]] oracle_result check_query_parity(const svc::query_engine& engine, const cat::catalog& cat,
                                                const cat::filter_query& query);
 
 /// query_engine::run is consistent with a linear-scan re-derivation: total,
-/// the exact [offset, offset + limit) window of apply_filter stably sorted by
-/// the requested key, all six facet histograms, id alignment, and a rendered
-/// body that parses and dumps back to the same bytes.
+/// the exact [offset, offset + limit) window of scan_filter stably sorted by
+/// the requested key, all six facet histograms (scan_facets), id alignment,
+/// and a rendered body that parses and dumps back to the same bytes.
 [[nodiscard]] oracle_result check_page_consistency(const svc::query_engine& engine, const cat::catalog& cat,
                                                    const svc::page_query& query);
 

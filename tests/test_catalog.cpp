@@ -8,6 +8,7 @@
 #include "physical_design/hexagonalization.hpp"
 #include "physical_design/ortho.hpp"
 #include "physical_design/portfolio.hpp"
+#include "service/query.hpp"
 
 #include <gtest/gtest.h>
 
@@ -103,9 +104,10 @@ TEST(CatalogTest, GateLibraryNames)
 TEST(FilterTest, LibraryFacet)
 {
     const auto c = make_catalog();
+    const svc::query_engine engine{c};
     filter_query query{};
     query.libraries = {gate_library_kind::bestagon};
-    const auto selection = apply_filter(c, query);
+    const auto selection = engine.filter(query);
     EXPECT_FALSE(selection.empty());
     for (const auto* r : selection)
     {
@@ -117,17 +119,18 @@ TEST(FilterTest, LibraryFacet)
 TEST(FilterTest, AlgorithmAndOptimizationFacets)
 {
     const auto c = make_catalog();
+    const svc::query_engine engine{c};
 
     filter_query exact_only{};
     exact_only.algorithms = {"exact"};
-    for (const auto* r : apply_filter(c, exact_only))
+    for (const auto* r : engine.filter(exact_only))
     {
         EXPECT_EQ(r->algorithm, "exact");
     }
 
     filter_query with_45{};
     with_45.required_optimizations = {"45°"};
-    const auto hex_selection = apply_filter(c, with_45);
+    const auto hex_selection = engine.filter(with_45);
     EXPECT_FALSE(hex_selection.empty());
     for (const auto* r : hex_selection)
     {
@@ -140,14 +143,16 @@ TEST(FilterTest, BestOnlyKeepsOnePerLibrary)
     const auto c = make_catalog();
     filter_query query{};
     query.best_only = true;
-    const auto selection = apply_filter(c, query);
+    const auto selection = svc::query_engine{c}.filter(query);
     EXPECT_EQ(selection.size(), 2u);  // one per library
 }
 
 TEST(FilterTest, FacetCountsAreConsistent)
 {
     const auto c = make_catalog();
-    const auto facets = compute_facets(c);
+    svc::page_query everything{};
+    everything.limit = 0;
+    const auto facets = svc::query_engine{c}.run(everything).facets;
     EXPECT_EQ(facets.per_set.at("Trindade16"), c.num_layouts());
     std::size_t by_library = 0;
     for (const auto& [name, count] : facets.per_library)
@@ -197,7 +202,7 @@ TEST(ExportTest, WritesNetworksAndLayouts)
     const auto c = make_catalog();
     filter_query query{};
     query.best_only = true;
-    const auto selection = apply_filter(c, query);
+    const auto selection = svc::query_engine{c}.filter(query);
 
     const auto dir = std::filesystem::temp_directory_path() / "mnt_export_test";
     std::filesystem::remove_all(dir);

@@ -16,6 +16,7 @@
 #include "io/verilog_writer.hpp"
 #include "physical_design/ortho.hpp"
 #include "service/hash.hpp"
+#include "service/query.hpp"
 #include "service/store.hpp"
 #include "testing/generators.hpp"
 
@@ -260,15 +261,18 @@ TEST(FamilyStore, FamilyMetadataSurvivesTheManifestRoundTrip)
     EXPECT_EQ(layouts.front().family_seed, bm::family_function_seed(spec, 0));
 
     // the family facet and filter see the restored records
-    const auto facets = cat::compute_facets(snapshot.catalog);
+    const svc::query_engine engine{snapshot.catalog, snapshot.layout_ids};
+    svc::page_query everything{};
+    everything.limit = 0;
+    const auto facets = engine.run(everything).facets;
     ASSERT_EQ(facets.per_family.count(id), 1u);
     EXPECT_EQ(facets.per_family.at(id), 1u);
 
     cat::filter_query query{};
     query.families = {id};
-    EXPECT_EQ(cat::apply_filter(snapshot.catalog, query).size(), 1u);
+    EXPECT_EQ(engine.filter(query).size(), 1u);
     query.families = {"0000000000000000000000000000dead"};
-    EXPECT_TRUE(cat::apply_filter(snapshot.catalog, query).empty());
+    EXPECT_TRUE(engine.filter(query).empty());
 }
 
 TEST(FamilyStore, CuratedStoresStayByteIdentical)

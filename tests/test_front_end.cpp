@@ -10,6 +10,9 @@
 
 #include "front_end.hpp"
 
+#include "service/hash.hpp"
+#include "service/json.hpp"
+
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -20,6 +23,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -212,8 +216,9 @@ std::string slurp(const std::filesystem::path& path)
     return {std::istreambuf_iterator<char>{file}, std::istreambuf_iterator<char>{}};
 }
 
-/// Runs \p binary with \p args (no shell quoting needed: no spaces) inside
-/// \p cwd; stdout and stderr are captured next to it, not inside it.
+/// Runs \p binary with \p args (passed to the shell as written, so quote a
+/// value with spaces) inside \p cwd; stdout and stderr are captured next to
+/// it, not inside it.
 run_result run(const char* binary, const std::string& args, const std::filesystem::path& cwd)
 {
     const auto out = cwd.string() + ".out";
@@ -282,6 +287,36 @@ TEST(FrontEndBinaries, HelpIsPrintedFromTheTableAndExitsZero)
     EXPECT_EQ(result.code, 0);
     EXPECT_NE(result.out.find("--pd-threads <n>"), std::string::npos);
     EXPECT_EQ(result.out.find("--worker-job"), std::string::npos);
+}
+
+TEST(FrontEndBinaries, ExportJsonIndexesEveryExportedLayoutByContentHash)
+{
+    const scratch_dir dir{};
+    const auto result = run(MNT_BENCH_CLI,
+                            "export --set Trindade16 --name \"Half Adder\" --best-only --json --dir out", dir.path);
+    ASSERT_EQ(result.code, 0) << result.err;
+    EXPECT_NE(result.out.find("wrote catalog index"), std::string::npos) << result.out;
+
+    std::map<std::string, std::size_t> fgl_hashes;
+    for (const auto& entry : std::filesystem::directory_iterator{dir.path / "out"})
+    {
+        if (entry.path().extension() == ".fgl")
+        {
+            ++fgl_hashes[svc::content_hash(slurp(entry.path()))];
+        }
+    }
+    const auto index = svc::json_value::parse(slurp(dir.path / "out" / "index.json"));
+    const auto& layouts = index.at("layouts").as_array();
+    EXPECT_EQ(layouts.size(), 2u);  // best-only: one per gate library
+    EXPECT_EQ(fgl_hashes.size(), layouts.size());
+    for (const auto& row : layouts)
+    {
+        const auto found = fgl_hashes.find(row.at("id").as_string());
+        ASSERT_NE(found, fgl_hashes.cend()) << row.dump();
+        EXPECT_EQ(found->second, 1u) << row.dump();
+    }
+    EXPECT_EQ(index.at("networks").as_array().size(), 1u);
+    EXPECT_TRUE(index.at("failures").is_array());
 }
 
 /// manifest.json bytes plus the sorted blob file names of a store.

@@ -1,9 +1,15 @@
-#include "core/json_export.hpp"
+// The export index (svc::render_index_json, written by
+// `mnt_bench_cli export --json`) and the one JSON string escaper every
+// writer shares.
+
+#include "service/snapshot.hpp"
 
 #include "benchmarks/functions.hpp"
 #include "common/json_escape.hpp"
 #include "core/filters.hpp"
 #include "physical_design/ortho.hpp"
+#include "service/json.hpp"
+#include "service/query.hpp"
 
 #include <gtest/gtest.h>
 
@@ -31,6 +37,13 @@ catalog small_catalog()
     record.layout = pd::ortho(bm::mux21());
     c.add_layout(std::move(record));
     return c;
+}
+
+/// The index of every layout of \p c, as `export --json` writes it.
+std::string index_of_everything(const catalog& c)
+{
+    const svc::query_engine engine{c};
+    return svc::render_index_json(engine, engine.filter({}));
 }
 
 }  // namespace
@@ -89,44 +102,59 @@ TEST(JsonExportTest, HostileNamesYieldParseableDocuments)
     record.layout = pd::ortho(bm::mux21());
     c.add_layout(std::move(record));
 
-    const auto doc = catalog_json_string(c);
+    const auto doc = index_of_everything(c);
     // no raw control or invalid byte may survive into the document
     for (const char ch : doc)
     {
         const auto byte = static_cast<unsigned char>(ch);
-        EXPECT_TRUE(byte >= 0x20 || ch == '\n') << "raw byte " << static_cast<int>(byte);
+        EXPECT_GE(byte, 0x20u) << "raw byte " << static_cast<int>(byte);
         EXPECT_NE(byte, 0xFFu);
         EXPECT_NE(byte, 0x90u);
     }
     EXPECT_NE(doc.find("set\\\"\\\\\\n\\u0001\\ufffd"), std::string::npos);
     EXPECT_NE(doc.find("name\\u007f\\ufffd("), std::string::npos);
     EXPECT_NE(doc.find("opt\\twith\\u0002junk\\ufffd"), std::string::npos);
+    EXPECT_EQ(svc::json_value::parse(doc).at("layouts").as_array().size(), 1u);
 }
 
 TEST(JsonExportTest, DocumentStructure)
 {
     const auto c = small_catalog();
-    const auto doc = catalog_json_string(c);
+    const svc::query_engine engine{c};
+    const auto doc = svc::render_index_json(engine, engine.filter({}));
 
-    EXPECT_NE(doc.find("\"networks\": ["), std::string::npos);
-    EXPECT_NE(doc.find("\"layouts\": ["), std::string::npos);
-    EXPECT_NE(doc.find("\"set\": \"Trindade16\""), std::string::npos);
-    EXPECT_NE(doc.find("\"name\": \"2:1 MUX\""), std::string::npos);
-    EXPECT_NE(doc.find("\"library\": \"QCA ONE\""), std::string::npos);
-    EXPECT_NE(doc.find("\"algorithm\": \"ortho\""), std::string::npos);
-    EXPECT_NE(doc.find("\"optimizations\": [\"InOrd (SDN)\", \"PLO\"]"), std::string::npos);
-    EXPECT_NE(doc.find("\"inputs\": 3"), std::string::npos);
-    EXPECT_NE(doc.find("\"gates\": 4"), std::string::npos);
-    EXPECT_NE(doc.find("\"runtime_s\": 0.125"), std::string::npos);
+    EXPECT_EQ(doc.rfind("{\"networks\":[", 0), 0u);
+    EXPECT_NE(doc.find("\"set\":\"Trindade16\""), std::string::npos);
+    EXPECT_NE(doc.find("\"name\":\"2:1 MUX\""), std::string::npos);
+    EXPECT_NE(doc.find("\"library\":\"QCA ONE\""), std::string::npos);
+    EXPECT_NE(doc.find("\"algorithm\":\"ortho\""), std::string::npos);
+    EXPECT_NE(doc.find("\"optimizations\":[\"InOrd (SDN)\",\"PLO\"]"), std::string::npos);
+    EXPECT_NE(doc.find("\"inputs\":3"), std::string::npos);
+    EXPECT_NE(doc.find("\"gates\":4"), std::string::npos);
+    EXPECT_NE(doc.find("\"runtime_s\":0.125"), std::string::npos);
 
     // metrics derived from the layout itself must appear
     const auto& r = c.layouts().front();
-    EXPECT_NE(doc.find("\"area\": " + std::to_string(r.area)), std::string::npos);
+    EXPECT_NE(doc.find("\"area\":" + std::to_string(r.area)), std::string::npos);
+
+    // the network row is the /benchmarks row; the layout row is the /layouts
+    // row, whose id is the content hash of the layout's .fgl
+    const auto document = svc::json_value::parse(doc);
+    const auto& networks = document.at("networks").as_array();
+    ASSERT_EQ(networks.size(), 1u);
+    EXPECT_EQ(networks.front().at("layouts").as_u64(), 1u);
+    const auto& layouts = document.at("layouts").as_array();
+    ASSERT_EQ(layouts.size(), 1u);
+    const auto page = engine.run(svc::page_query{});
+    ASSERT_EQ(page.rendered.size(), 1u);
+    EXPECT_EQ(layouts.front().dump(), page.rendered.front());
+    EXPECT_EQ(layouts.front().at("id").as_string(), engine.id_of(0));
+    EXPECT_TRUE(document.at("failures").as_array().empty());
 }
 
 TEST(JsonExportTest, BalancedBracesAndQuotes)
 {
-    const auto doc = catalog_json_string(small_catalog());
+    const auto doc = index_of_everything(small_catalog());
     long braces = 0;
     long brackets = 0;
     long quotes = 0;
@@ -168,22 +196,39 @@ TEST(JsonExportTest, SelectionExportsOnlyReferencedNetworks)
 {
     auto c = small_catalog();
     c.add_network("Fontes18", "t", bm::t_function());  // never selected
+    for (const auto* set : {"Trindade16", "Fontes18"})
+    {
+        failure_record failure{};
+        failure.benchmark_set = set;
+        failure.benchmark_name = std::string{set} == "Fontes18" ? "t" : "2:1 MUX";
+        failure.combination = "NPR@USE";
+        failure.kind = "timeout";
+        failure.message = "deadline exceeded";
+        failure.elapsed_s = 1.5;
+        failure.attempts = 2;
+        c.add_failure(std::move(failure));
+    }
 
     filter_query query{};
     query.libraries = {gate_library_kind::qca_one};
-    const auto selection = apply_filter(c, query);
-
-    std::ostringstream stream;
-    write_selection_json(c, selection, stream);
-    const auto doc = stream.str();
+    const svc::query_engine engine{c};
+    const auto doc = svc::render_index_json(engine, engine.filter(query));
     EXPECT_NE(doc.find("2:1 MUX"), std::string::npos);
     EXPECT_EQ(doc.find("Fontes18"), std::string::npos);
+
+    // the failures of the referenced networks only, with every member
+    const auto failures = svc::json_value::parse(doc).at("failures").as_array();
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures.front().dump(),
+              "{\"set\":\"Trindade16\",\"name\":\"2:1 MUX\",\"library\":\"QCA ONE\",\"combination\":\"NPR@USE\","
+              "\"kind\":\"timeout\",\"message\":\"deadline exceeded\",\"elapsed_s\":1.5,\"attempts\":2}");
+
+    // a record of another catalog is refused
+    const auto other = small_catalog();
+    EXPECT_THROW(static_cast<void>(svc::render_index_json(engine, {&other.layouts().front()})), precondition_error);
 }
 
 TEST(JsonExportTest, EmptyCatalog)
 {
-    const catalog c;
-    const auto doc = catalog_json_string(c);
-    EXPECT_NE(doc.find("\"networks\": ["), std::string::npos);
-    EXPECT_NE(doc.find("\"layouts\": ["), std::string::npos);
+    EXPECT_EQ(index_of_everything(catalog{}), "{\"networks\":[],\"layouts\":[],\"failures\":[]}");
 }

@@ -247,6 +247,7 @@ TEST(PortfolioTest, EmitsSpanPerAttemptedCombination)
 
     const auto network = mux21();
     const auto results = run_cartesian_portfolio(network, fast_params());
+    const auto hexagonal_results = run_hexagonal_portfolio(network, fast_params());
     const auto report = tel::capture_report();
 
     tel::registry::instance().reset();
@@ -254,15 +255,51 @@ TEST(PortfolioTest, EmitsSpanPerAttemptedCombination)
 
     ASSERT_NE(report.trace, nullptr);
     const tel::span_node* portfolio_span = nullptr;
+    const tel::span_node* hexagonal_span = nullptr;
     for (const auto& child : report.trace->children)
     {
         if (child->name == "portfolio/cartesian")
         {
             portfolio_span = child.get();
         }
+        if (child->name == "portfolio/hexagonal")
+        {
+            hexagonal_span = child.get();
+        }
     }
     ASSERT_NE(portfolio_span, nullptr);
+    ASSERT_NE(hexagonal_span, nullptr);
     EXPECT_EQ(portfolio_span->calls, 1U);
+    ASSERT_FALSE(hexagonal_results.empty());
+
+    // PLO and hexagonalization open their own span inside every attempt of
+    // the combinations that run them, and nowhere else
+    const auto child_calls = [](const tel::span_node& node, const std::string& name)
+    {
+        std::uint64_t calls = 0;
+        for (const auto& child : node.children)
+        {
+            calls += child->name == name ? child->calls : 0;
+        }
+        return calls;
+    };
+    std::uint64_t plo_calls = 0;
+    std::uint64_t hexagonalization_calls = 0;
+    for (const auto* top : {portfolio_span, hexagonal_span})
+    {
+        for (const auto& combo : top->children)
+        {
+            const auto& name = combo->name;
+            const auto plo = name.size() > 4 && name.compare(name.size() - 4, 4, "+PLO") == 0;
+            const auto hexagonalized = !plo && name.find("+45°") != std::string::npos;
+            EXPECT_EQ(child_calls(*combo, "plo"), plo ? combo->calls : 0) << name;
+            EXPECT_EQ(child_calls(*combo, "hexagonalization"), hexagonalized ? combo->calls : 0) << name;
+            plo_calls += child_calls(*combo, "plo");
+            hexagonalization_calls += child_calls(*combo, "hexagonalization");
+        }
+    }
+    EXPECT_GT(plo_calls, 0u);
+    EXPECT_GT(hexagonalization_calls, 0u);
 
     // every produced layout corresponds to one "algo@clocking+opts" span
     for (const auto& r : results)
@@ -296,9 +333,15 @@ TEST(PortfolioTest, EmitsSpanPerAttemptedCombination)
         }
     };
     walk(*report.trace);
-    const auto small = std::count_if(results.cbegin(), results.cend(),
-                                     [](const layout_result& r) { return r.layout.num_occupied() <= 400; });
-    EXPECT_EQ(equivalence_calls, results.size());
-    EXPECT_EQ(wave_calls, static_cast<std::uint64_t>(small));
+    std::uint64_t layouts = 0;
+    std::uint64_t small = 0;
+    for (const auto* run : {&results, &hexagonal_results})
+    {
+        layouts += run->size();
+        small += static_cast<std::uint64_t>(std::count_if(
+            run->cbegin(), run->cend(), [](const layout_result& r) { return r.layout.num_occupied() <= 400; }));
+    }
+    EXPECT_EQ(equivalence_calls, layouts);
+    EXPECT_EQ(wave_calls, small);
     EXPECT_GT(wave_calls, 0u);
 }

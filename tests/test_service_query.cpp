@@ -7,10 +7,13 @@
 #include "layout/gate_level_layout.hpp"
 #include "service/hash.hpp"
 #include "service/json.hpp"
+#include "service/store.hpp"
+#include "testing/oracles.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <random>
@@ -230,7 +233,7 @@ cat::catalog make_family_catalog()
 
 // -------------------------------------------------------------------- parity
 
-TEST(QueryEngineTest, FilterMatchesApplyFilterOnRandomizedCatalog)
+TEST(QueryEngineTest, FilterMatchesScanFilterOnRandomizedCatalog)
 {
     const auto catalog = make_random_catalog(7u, 160);
     const query_engine engine{catalog};
@@ -239,7 +242,7 @@ TEST(QueryEngineTest, FilterMatchesApplyFilterOnRandomizedCatalog)
     for (int round = 0; round < 200; ++round)
     {
         const auto query = make_random_filter(rng);
-        const auto expected = cat::apply_filter(catalog, query);
+        const auto expected = pbt::scan_filter(catalog, query);
         const auto actual = engine.filter(query);
         ASSERT_EQ(expected, actual) << "round " << round;  // pointer-identical, same order
     }
@@ -247,9 +250,34 @@ TEST(QueryEngineTest, FilterMatchesApplyFilterOnRandomizedCatalog)
 
 // --------------------------------------------------------------- best layout
 
-TEST(BestLayoutTest, SelectBestApplyFilterAndEngineAgreeOnTies)
+namespace
 {
-    using best_key = std::tuple<std::string, std::string, cat::gate_library_kind>;
+
+using best_key = std::tuple<std::string, std::string, cat::gate_library_kind>;
+
+/// What a winner is, independent of the catalog it sits in.
+using best_identity = std::tuple<std::string, std::string, std::uint64_t, std::size_t>;
+
+best_identity identity_of(const cat::layout_record& r)
+{
+    return {r.label(), r.clocking, r.area, r.num_wires};
+}
+
+/// One best-only winner per (set, name, library), keyed.
+std::map<best_key, const cat::layout_record*> winners(const std::vector<const cat::layout_record*>& selection)
+{
+    std::map<best_key, const cat::layout_record*> keyed;
+    for (const auto* r : selection)
+    {
+        EXPECT_TRUE(keyed.emplace(best_key{r->benchmark_set, r->benchmark_name, r->library}, r).second);
+    }
+    return keyed;
+}
+
+}  // namespace
+
+TEST(BestLayoutTest, SelectBestScanAndEngineAgreeOnTies)
+{
     std::size_t tied_keys = 0;
     for (std::uint32_t seed = 1; seed <= 8; ++seed)
     {
@@ -257,17 +285,8 @@ TEST(BestLayoutTest, SelectBestApplyFilterAndEngineAgreeOnTies)
         const query_engine engine{catalog};
         cat::filter_query best_only{};
         best_only.best_only = true;
-
-        std::map<best_key, const cat::layout_record*> scanned;
-        for (const auto* r : cat::apply_filter(catalog, best_only))
-        {
-            EXPECT_TRUE(scanned.emplace(best_key{r->benchmark_set, r->benchmark_name, r->library}, r).second);
-        }
-        std::map<best_key, const cat::layout_record*> indexed;
-        for (const auto* r : engine.filter(best_only))
-        {
-            EXPECT_TRUE(indexed.emplace(best_key{r->benchmark_set, r->benchmark_name, r->library}, r).second);
-        }
+        auto scanned = winners(pbt::scan_filter(catalog, best_only));
+        auto indexed = winners(engine.filter(best_only));
 
         std::set<best_key> keys;
         for (const auto& r : catalog.layouts())
@@ -287,25 +306,102 @@ TEST(BestLayoutTest, SelectBestApplyFilterAndEngineAgreeOnTies)
                     records.push_back(r);
                 }
             }
-            // the rule's winner: the first record, in catalog order, that no
-            // record beats
-            const auto unbeaten = [&](const cat::layout_record* r)
-            {
-                return std::none_of(records.cbegin(), records.cend(),
-                                    [&](const cat::layout_record* other) { return cat::better_layout(*other, *r); });
-            };
-            const auto first = std::find_if(records.cbegin(), records.cend(), unbeaten);
-            ASSERT_NE(first, records.cend());
-            tied_keys += std::count_if(records.cbegin(), records.cend(), unbeaten) > 1 ? 1u : 0u;
+            // the rule's winner: of the records with the least (area, wires),
+            // the first in canonical order (catalog order among records equal
+            // on the whole canonical key)
+            const auto area_wires = [](const cat::layout_record* r) { return std::make_pair(r->area, r->num_wires); };
+            const auto least = area_wires(*std::min_element(records.cbegin(), records.cend(),
+                                                            [&](const auto* a, const auto* b)
+                                                            { return area_wires(a) < area_wires(b); }));
+            std::vector<const cat::layout_record*> tied;
+            std::copy_if(records.cbegin(), records.cend(), std::back_inserter(tied),
+                         [&](const cat::layout_record* r) { return area_wires(r) == least; });
+            tied_keys += tied.size() > 1 ? 1u : 0u;
+            const auto* expected = *std::min_element(tied.cbegin(), tied.cend(),
+                                                     [](const auto* a, const auto* b)
+                                                     { return cat::canonical_layout_less(*a, *b); });
 
             const auto context = set + " / " + name + " seed " + std::to_string(seed);
-            EXPECT_EQ(cat::select_best(catalog, set, name, library).best, *first) << context;
-            EXPECT_EQ(scanned[key], *first) << context;
-            EXPECT_EQ(indexed[key], *first) << context;
+            EXPECT_EQ(cat::select_best(catalog, set, name, library).best, expected) << context;
+            EXPECT_EQ(scanned[key], expected) << context;
+            EXPECT_EQ(indexed[key], expected) << context;
+        }
+
+        // every key holds its variants twice, the second time in reverse
+        // order: insertion order must not change the winner
+        for (const auto& [key, r] : indexed)
+        {
+            const auto& [set, name, library] = key;
+            if (name.size() > 4 && name.compare(name.size() - 4, 4, "_rev") == 0)
+            {
+                continue;
+            }
+            const auto reversed = indexed.find(best_key{set, name + "_rev", library});
+            ASSERT_NE(reversed, indexed.cend()) << set << " / " << name;
+            EXPECT_EQ(identity_of(*r), identity_of(*reversed->second)) << set << " / " << name << " seed " << seed;
         }
     }
     // the catalogs must really exercise the tie-break
     EXPECT_GT(tied_keys, 20u);
+}
+
+TEST(BestLayoutTest, StoreRoundTripKeepsTieWinners)
+{
+    // the store keeps one layout per cache key (set, name, library and
+    // combination), so the in-process catalog holds one record per key too
+    const auto tied = make_tied_catalog(5u);
+    cat::catalog in_process;
+    std::set<std::string> cache_keys;
+    for (const auto& r : tied.layouts())
+    {
+        if (cache_keys.insert(cache_key(r)).second)
+        {
+            in_process.add_layout(r);
+        }
+    }
+
+    const auto root = std::filesystem::temp_directory_path() / "mnt_best_layout_tie_store";
+    std::filesystem::remove_all(root);
+    {
+        layout_store store{root};
+        for (const auto& r : in_process.layouts())
+        {
+            store.put_layout(r);
+        }
+        store.save();
+    }
+    const auto snapshot = layout_store{root}.load();
+    std::filesystem::remove_all(root);
+    ASSERT_TRUE(snapshot.issues.empty());
+    ASSERT_EQ(snapshot.catalog.num_layouts(), in_process.num_layouts());
+
+    // the manifest is in cache-key order, so the loaded catalog lists tied
+    // records in another order than the in-process one
+    std::size_t reordered = 0;
+    for (std::size_t i = 0; i < in_process.num_layouts(); ++i)
+    {
+        reordered += identity_of(in_process.layouts()[i]) != identity_of(snapshot.catalog.layouts()[i]) ? 1u : 0u;
+    }
+    EXPECT_GT(reordered, 0u);
+
+    cat::filter_query best_only{};
+    best_only.best_only = true;
+    const auto here = winners(query_engine{in_process}.filter(best_only));
+    const auto loaded = winners(query_engine{snapshot.catalog, snapshot.layout_ids}.filter(best_only));
+    ASSERT_EQ(here.size(), loaded.size());
+    for (const auto& [key, r] : here)
+    {
+        const auto& [set, name, library] = key;
+        const auto context = set + " / " + name;
+        ASSERT_EQ(loaded.count(key), 1u) << context;
+        EXPECT_EQ(identity_of(*r), identity_of(*loaded.at(key))) << context;
+        const auto* in_process_best = cat::select_best(in_process, set, name, library).best;
+        const auto* loaded_best = cat::select_best(snapshot.catalog, set, name, library).best;
+        ASSERT_NE(in_process_best, nullptr) << context;
+        ASSERT_NE(loaded_best, nullptr) << context;
+        EXPECT_EQ(identity_of(*in_process_best), identity_of(*r)) << context;
+        EXPECT_EQ(identity_of(*loaded_best), identity_of(*r)) << context;
+    }
 }
 
 TEST(QueryEngineTest, EmptyFilterReturnsWholeCatalogInCanonicalOrder)
@@ -314,7 +410,7 @@ TEST(QueryEngineTest, EmptyFilterReturnsWholeCatalogInCanonicalOrder)
     const query_engine engine{catalog};
     const auto all = engine.filter({});
     EXPECT_EQ(all.size(), catalog.num_layouts());
-    EXPECT_EQ(all, cat::apply_filter(catalog, {}));
+    EXPECT_EQ(all, pbt::scan_filter(catalog, {}));
     EXPECT_TRUE(std::is_sorted(all.begin(), all.end(),
                                [](const auto* a, const auto* b) { return cat::canonical_layout_less(*a, *b); }));
     EXPECT_GT(engine.num_index_terms(), 0u);
@@ -585,7 +681,9 @@ TEST(PageJsonStringTest, PageBodiesMatchPinnedHashes)
         {false, "sort=runtime&order=desc&offset=7&limit=20", "5fb8bc75c53de8f9bc8eff90617b5d53"},
         {false, "library=Bestagon&clocking=USE,RES&opt=45%C2%B0&sort=algorithm&order=desc",
          "f3675a3bb01ed7908adc7ce605938eda"},
-        {false, "best=1&sort=runtime", "288583598322ed24564ae1e0547d5e4e"},
+        // re-pinned when best-only ties on (area, wires) started going to the
+        // canonical minimum instead of the first record in catalog order
+        {false, "best=1&sort=runtime", "cfebbb5fac489afc279e11917ef492f8"},
         {false, "limit=0", "9cfb8deac83ebf9a9824a253ab623510"},
         {false, "limit=0&facets=0", "56663a9e8dc0a336315bcc64eff08863"},
         {false, "offset=1000", "5172a626326d52ebb06ebfee743af6f4"},

@@ -4,14 +4,17 @@
 #include "benchmarks/functions.hpp"
 #include "benchmarks/suites.hpp"
 #include "core/filters.hpp"
-#include "core/json_export.hpp"
 #include "io/fgl_writer.hpp"
 #include "physical_design/hexagonalization.hpp"
 #include "physical_design/ortho.hpp"
 #include "service/hash.hpp"
+#include "service/journal.hpp"
 #include "service/json.hpp"
 #include "service/populate.hpp"
+#include "service/query.hpp"
 #include "telemetry/eventlog.hpp"
+#include "telemetry/report.hpp"
+#include "telemetry/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
@@ -367,6 +370,8 @@ TEST(LayoutStoreTest, RoundTripPreservesQueryResults)
     EXPECT_EQ(snapshot.catalog.failures().front().kind, "timeout");
 
     // identical query results on every surface
+    const query_engine original_engine{original};
+    const query_engine loaded_engine{snapshot.catalog, snapshot.layout_ids};
     for (const auto best_only : {false, true})
     {
         for (const auto& library :
@@ -376,8 +381,7 @@ TEST(LayoutStoreTest, RoundTripPreservesQueryResults)
             cat::filter_query query{};
             query.best_only = best_only;
             query.libraries = library;
-            EXPECT_EQ(signature(cat::apply_filter(original, query)),
-                      signature(cat::apply_filter(snapshot.catalog, query)));
+            EXPECT_EQ(signature(original_engine.filter(query)), signature(loaded_engine.filter(query)));
         }
     }
 
@@ -390,6 +394,41 @@ TEST(LayoutStoreTest, RoundTripPreservesQueryResults)
         EXPECT_EQ(content_hash(bytes), snapshot.layout_ids[i]);
         EXPECT_EQ(bytes, io::write_fgl_string(snapshot.catalog.layouts()[i].layout));
     }
+}
+
+TEST(LayoutStoreTest, PutsSavesAndJournalAppendsOpenSpans)
+{
+    const store_dir dir{"mnt_store_spans_test"};
+    const auto record = make_record("S", "f", cat::gate_library_kind::qca_one, "ortho", pd::ortho(bm::mux21()));
+
+    tel::set_enabled(true);
+    tel::registry::instance().reset();
+    {
+        layout_store store{dir.path};
+        store.put_network("S", "f", bm::mux21());
+        store.put_layout(record);
+        store.save();
+        run_journal journal{dir.path / run_journal::default_filename};
+        journal.run_start(1, "spans");
+        journal.run_end(0, 0);
+    }
+    const auto report = tel::capture_report();
+    tel::registry::instance().reset();
+    tel::set_enabled(false);
+
+    ASSERT_NE(report.trace, nullptr);
+    const auto calls = [&](const std::string& name)
+    {
+        std::uint64_t total = 0;
+        for (const auto& child : report.trace->children)
+        {
+            total += child->name == name ? child->calls : 0;
+        }
+        return total;
+    };
+    EXPECT_EQ(calls("store/put"), 2u);  // one network, one layout
+    EXPECT_EQ(calls("store/save"), 1u);
+    EXPECT_EQ(calls("journal/append"), 2u);
 }
 
 TEST(LayoutStoreTest, PutLayoutIsIdempotentPerCacheKey)
