@@ -1,13 +1,17 @@
 /// \file micro_algorithms.cpp
 /// \brief Engineering microbenchmarks (μ1–μ3): ortho scaling over network
 ///        size (with the fanout-substitution ablation), router throughput
-///        (generic BFS vs the monotone shortcut baked into ortho), and
-///        hexagonalization/PLO passes. Not part of the paper's evaluation;
+///        (generic BFS vs the monotone shortcut baked into ortho),
+///        hexagonalization/PLO passes, and exact's search on the Table I
+///        rows that dominate its time. Not part of the paper's evaluation;
 ///        tracked to keep the reproduction's algorithms honest.
 
+#include "benchmarks/functions.hpp"
 #include "benchmarks/synthetic.hpp"
+#include "common/taskrt/taskrt.hpp"
 #include "layout/routing.hpp"
 #include "network/transforms.hpp"
+#include "physical_design/exact.hpp"
 #include "physical_design/hexagonalization.hpp"
 #include "physical_design/ortho.hpp"
 #include "physical_design/post_layout_optimization.hpp"
@@ -107,6 +111,38 @@ void plo_pass(benchmark::State& state)
     state.counters["area_after"] = static_cast<double>(optimized.area());
 }
 BENCHMARK(plo_pass)->Unit(benchmark::kMillisecond)->Iterations(3);
+
+/// One exact call on a Trindade16 function at one compute thread, with Table
+/// I's area bound and a budget it never reaches; `search_nodes` counts the
+/// backtracking search's nodes.
+void exact_search(benchmark::State& state, ntk::logic_network (*function)(), const lyt::layout_topology topology,
+                  const lyt::clocking_kind scheme)
+{
+    const auto network = function();
+    pd::exact_params params{};
+    params.topology = topology;
+    params.scheme = scheme;
+    params.max_area = 60;
+    params.timeout_s = 120.0;
+    trt::set_thread_count(1);
+    pd::exact_stats stats{};
+    for (auto _ : state)
+    {
+        auto layout = pd::exact(network, params, &stats);
+        benchmark::DoNotOptimize(layout.has_value());
+    }
+    trt::set_thread_count(0);
+    state.counters["search_nodes"] = static_cast<double>(stats.search_nodes);
+}
+BENCHMARK_CAPTURE(exact_search, parity_check_esr, &bm::parity_checker, lyt::layout_topology::cartesian,
+                  lyt::clocking_kind::esr)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(exact_search, parity_check_use, &bm::parity_checker, lyt::layout_topology::cartesian,
+                  lyt::clocking_kind::use)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(exact_search, half_adder_hex_row, &bm::half_adder, lyt::layout_topology::hexagonal_even_row,
+                  lyt::clocking_kind::row)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

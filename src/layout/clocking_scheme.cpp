@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 
 namespace mnt::lyt
 {
@@ -240,23 +239,6 @@ bool clocking_scheme::operator==(const clocking_scheme& other) const
                 return false;
             }
         }
-    }
-    return true;
-}
-
-bool may_flow(const clocking_kind kind, const layout_topology topo, const coordinate& from, const coordinate& to)
-{
-    if (kind == clocking_kind::twoddwave)
-    {
-        return to.x >= from.x && to.y >= from.y && !(to.x == from.x && to.y == from.y);
-    }
-    if (kind == clocking_kind::row)
-    {
-        if (topo == layout_topology::hexagonal_even_row)
-        {
-            return to.y > from.y && std::abs(to.x - from.x) <= to.y - from.y;
-        }
-        return to.y > from.y && to.x == from.x;  // Cartesian ROW: straight columns only
     }
     return true;
 }

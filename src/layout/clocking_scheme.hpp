@@ -144,6 +144,23 @@ private:
 /// provably cannot flow from \p from to \p to under the scheme/topology
 /// (e.g. 2DDWave flows strictly east/south; ROW flows strictly down).
 /// Snaking schemes (USE/RES/ESR) and OPEN always return true.
-[[nodiscard]] bool may_flow(clocking_kind kind, layout_topology topo, const coordinate& from, const coordinate& to);
+[[nodiscard]] constexpr bool may_flow(const clocking_kind kind, const layout_topology topo, const coordinate& from,
+                                      const coordinate& to) noexcept
+{
+    if (kind == clocking_kind::twoddwave)
+    {
+        return to.x >= from.x && to.y >= from.y && !(to.x == from.x && to.y == from.y);
+    }
+    if (kind == clocking_kind::row)
+    {
+        if (topo == layout_topology::hexagonal_even_row)
+        {
+            const auto dx = to.x > from.x ? std::int64_t{to.x} - from.x : std::int64_t{from.x} - to.x;
+            return to.y > from.y && dx <= std::int64_t{to.y} - from.y;
+        }
+        return to.y > from.y && to.x == from.x;  // Cartesian ROW: straight columns only
+    }
+    return true;
+}
 
 }  // namespace mnt::lyt

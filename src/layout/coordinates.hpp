@@ -211,11 +211,44 @@ using neighbor_list = coordinate_list<6>;
     return ns;
 }
 
-/// True if \p a and \p b occupy planar-adjacent grid positions (z ignored).
-[[nodiscard]] bool are_adjacent(const coordinate& a, const coordinate& b, layout_topology topo);
+/// True if \p a and \p b occupy planar-adjacent grid positions (z ignored),
+/// i.e. if \p b is one of the \ref planar_neighbors of \p a.
+[[nodiscard]] constexpr bool are_adjacent(const coordinate& a, const coordinate& b,
+                                          const layout_topology topo) noexcept
+{
+    const auto dx = std::int64_t{b.x} - a.x;
+    const auto dy = std::int64_t{b.y} - a.y;
+    if (dy == 0)
+    {
+        return dx == 1 || dx == -1;
+    }
+    if (dy != 1 && dy != -1)
+    {
+        return false;
+    }
+    if (topo == layout_topology::cartesian)
+    {
+        return dx == 0;
+    }
+    // the diagonal neighbors of planar_neighbors: x - 1 + shift and x + shift
+    const auto shift = a.y & 1;
+    return dx == shift - 1 || dx == shift;
+}
 
 /// Manhattan-like distance used as a router heuristic: exact for Cartesian,
 /// admissible lower bound for hexagonal grids.
-[[nodiscard]] std::uint32_t grid_distance(const coordinate& a, const coordinate& b, layout_topology topo);
+[[nodiscard]] constexpr std::uint32_t grid_distance(const coordinate& a, const coordinate& b,
+                                                    const layout_topology topo) noexcept
+{
+    const auto dx = static_cast<std::uint32_t>(a.x > b.x ? std::int64_t{a.x} - b.x : std::int64_t{b.x} - a.x);
+    const auto dy = static_cast<std::uint32_t>(a.y > b.y ? std::int64_t{a.y} - b.y : std::int64_t{b.y} - a.y);
+    if (topo == layout_topology::cartesian)
+    {
+        return dx + dy;
+    }
+    // hexagonal offset grids: moving one row can also change x by one, so the
+    // row difference may "absorb" part of the column difference
+    return dx > dy ? dx : dy;
+}
 
 }  // namespace mnt::lyt

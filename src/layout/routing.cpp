@@ -205,7 +205,7 @@ std::optional<std::vector<coordinate>> find_path(const gate_level_layout& layout
 }
 
 void establish_path(gate_level_layout& layout, const coordinate& src, const coordinate& dst,
-                    const std::vector<coordinate>& path)
+                    const std::span<const coordinate> path)
 {
     for (const auto& p : path)
     {

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace mnt::lyt
@@ -53,11 +54,11 @@ struct routing_options
                                                                const coordinate& dst,
                                                                const routing_options& options = {});
 
-/// Materializes a path previously returned by \ref find_path: places buffer
-/// gates on every path tile and declares the connections
-/// src -> path[0] -> ... -> path[k] -> dst.
+/// Materializes a path previously returned by \ref find_path (or any other
+/// list of wire tiles): places buffer gates on every path tile and declares
+/// the connections src -> path[0] -> ... -> path[k] -> dst.
 void establish_path(gate_level_layout& layout, const coordinate& src, const coordinate& dst,
-                    const std::vector<coordinate>& path);
+                    std::span<const coordinate> path);
 
 /// Convenience wrapper: find_path + establish_path.
 ///

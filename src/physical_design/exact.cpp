@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <span>
+#include <string>
 #include <vector>
 
 namespace mnt::pd
@@ -26,6 +28,44 @@ using ntk::logic_network;
 /// Internal control-flow exception for the wall-clock budget.
 struct timeout_signal
 {};
+
+/// The candidate wire paths of one connection, back to back in the thread's
+/// scratch arena: path k is wires[ends[k - 1], ends[k]), with ends[-1] = 0.
+/// One flat buffer per connection instead of one heap vector per path; the
+/// search opens a scratch region around each connection, and the regions
+/// nest LIFO with the recursion.
+class path_list
+{
+public:
+    path_list(trt::scratch_arena& arena, const std::size_t reserved_paths, const std::size_t max_length) :
+            wires{arena, reserved_paths * max_length},
+            ends{arena, reserved_paths}
+    {}
+
+    void add(const coordinate* const path, const std::size_t length)
+    {
+        for (std::size_t k = 0; k < length; ++k)
+        {
+            wires.push_back(path[k]);
+        }
+        ends.push_back(wires.size());
+    }
+
+    [[nodiscard]] std::size_t size() const noexcept
+    {
+        return ends.size();
+    }
+
+    [[nodiscard]] std::span<const coordinate> operator[](const std::size_t k) const noexcept
+    {
+        const auto first = k == 0 ? std::size_t{0} : ends[k - 1];
+        return {wires.begin() + first, wires.begin() + ends[k]};
+    }
+
+private:
+    trt::scratch_buffer<coordinate> wires;
+    trt::scratch_buffer<std::size_t> ends;
+};
 
 class exact_solver
 {
@@ -47,6 +87,27 @@ public:
             {
                 order.push_back(v);
             }
+        }
+        // per-node invariants of the search. Constants are propagated away
+        // before the search, so every fanin of a placed node is in `order`.
+        std::vector<std::size_t> position(net.size());
+        for (std::size_t i = 0; i < order.size(); ++i)
+        {
+            position[order[i]] = i;
+        }
+        last_use.assign(order.size(), 0);
+        exits_needed.reserve(order.size());
+        for (std::size_t i = 0; i < order.size(); ++i)
+        {
+            const auto v = order[i];
+            for (const auto fi : net.fanins(v))
+            {
+                last_use[position[fi]] = i;  // i ascends: the last write is the last consumer
+            }
+            // capacity prune: exits a tile must offer before the node fits
+            const auto t = net.type(v);
+            exits_needed.push_back(std::min<std::size_t>(
+                net.fanout_size(v), t == gate_type::fanout ? 2 : (t == gate_type::po ? 0 : 1)));
         }
     }
 
@@ -94,37 +155,32 @@ private:
         }
     }
 
-    /// Cheap per-scheme reachability prune: can information ever flow from
-    /// tile \p from to tile \p to?
-    [[nodiscard]] bool may_reach(const coordinate& from, const coordinate& to) const
-    {
-        return lyt::may_flow(params.scheme, params.topology, from, to);
-    }
-
     /// Enumerates up to max_paths_per_edge clocked paths from the gate on
-    /// \p src into the gate on \p dst, lengths ascending (shortest + slack).
-    [[nodiscard]] std::vector<std::vector<coordinate>> enumerate_paths(const gate_level_layout& layout,
-                                                                       const coordinate& src,
-                                                                       const coordinate& dst) const
+    /// \p src into the gate on \p dst, lengths ascending (shortest +
+    /// slack), each length in DFS neighbor order. The paths live in \p arena
+    /// until the caller's scratch region closes.
+    [[nodiscard]] path_list enumerate_paths(trt::scratch_arena& arena, const gate_level_layout& layout,
+                                            const coordinate& src, const coordinate& dst) const
     {
-        std::vector<std::vector<coordinate>> result;
+        const auto topo = layout.topology();
+        const auto max_paths = params.max_paths_per_edge;
+        const auto min_len = lyt::grid_distance(src, dst, topo);
+        const auto max_len = static_cast<std::size_t>(min_len) + params.path_slack;
+        path_list paths{arena, std::min(max_paths, expected_paths), max_len};
 
-        // iterative-deepening DFS over new wire tiles; a path never revisits
-        // a ground position, and it is short (at most shortest + slack
-        // wires), so a scan of it beats hashing
-        std::vector<coordinate> current;
-        const auto on_path = [&current](const coordinate& ground)
+        // iterative-deepening DFS over new wire tiles; the path under
+        // construction never revisits a ground position and holds at most
+        // max_len wires, so a scan of it beats hashing
+        auto* const current = arena.allocate_array<coordinate>(max_len);
+        std::size_t depth = 0;
+        const auto on_path = [&](const coordinate& ground)
         {
-            return std::any_of(current.cbegin(), current.cend(),
-                               [&ground](const coordinate& c) { return c.ground() == ground; });
+            return std::any_of(current, current + depth,
+                               [&ground](const coordinate& c) { return c.x == ground.x && c.y == ground.y; });
         };
 
-        const auto min_len = lyt::grid_distance(src, dst, layout.topology());
-        const auto max_len = static_cast<std::size_t>(min_len) + params.path_slack;
-
-        const auto step_target = [&](const coordinate& n) -> std::optional<coordinate>
+        const auto step_target = [&](const coordinate& ground) -> std::optional<coordinate>
         {
-            const auto ground = n.ground();
             if (layout.is_empty_tile(ground))
             {
                 return ground;
@@ -137,38 +193,29 @@ private:
             return std::nullopt;
         };
 
+        // a subtree returns as soon as the list is full: no later step could
+        // add a path
+        const auto target = dst.ground();
         const auto dfs = [&](const auto& self, const coordinate& at, const std::size_t limit) -> void
         {
-            if (result.size() >= params.max_paths_per_edge)
-            {
-                return;
-            }
             for (const auto& n : layout.outgoing_clocked(at.ground()))
             {
-                if (n == dst.ground())
+                if (n == target)
                 {
-                    // found a connection of exactly current.size() wires
-                    if (current.size() == limit)
+                    // found a connection of exactly `limit` wires
+                    if (depth == limit)
                     {
-                        result.push_back(current);
-                        if (result.size() >= params.max_paths_per_edge)
+                        paths.add(current, depth);
+                        if (paths.size() >= max_paths)
                         {
                             return;
                         }
                     }
                     continue;
                 }
-                if (current.size() >= limit)
-                {
-                    continue;
-                }
-                if (on_path(n.ground()))
-                {
-                    continue;
-                }
-                // admissible-distance prune
-                if (static_cast<std::size_t>(lyt::grid_distance(n, dst, layout.topology())) + current.size() >
-                    limit)
+                if (depth >= limit || on_path(n) ||
+                    // admissible-distance prune
+                    static_cast<std::size_t>(lyt::grid_distance(n, dst, topo)) + depth > limit)
                 {
                     continue;
                 }
@@ -177,29 +224,33 @@ private:
                 {
                     continue;
                 }
-                current.push_back(*placed);
+                current[depth++] = *placed;
                 self(self, *placed, limit);
-                current.pop_back();
+                --depth;
+                if (paths.size() >= max_paths)
+                {
+                    return;
+                }
             }
         };
 
-        // direct adjacency = zero wires; handled by limit 0 iteration
-        for (std::size_t limit = (min_len == 0 ? 0 : min_len - 1); limit <= max_len; ++limit)
+        // direct adjacency = zero wires; handled by limit 0 iteration. On a
+        // Cartesian grid every step flips the parity of x + y, so k wires
+        // (k + 1 steps) connect only if k + 1 and min_len have the same
+        // parity: the lengths in between hold no path and are skipped.
+        const std::size_t stride = topo == lyt::layout_topology::cartesian ? 2 : 1;
+        for (std::size_t limit = (min_len == 0 ? 0 : min_len - 1); limit <= max_len && paths.size() < max_paths;
+             limit += stride)
         {
             dfs(dfs, src, limit);
-            if (result.size() >= params.max_paths_per_edge)
-            {
-                break;
-            }
         }
-        return result;
+        return paths;
     }
 
-    void rip(gate_level_layout& layout, const coordinate& dst, const std::vector<coordinate>& path)
+    void rip(gate_level_layout& layout, const coordinate& dst, const std::span<const coordinate> path)
     {
         // remove the final link and the wire tiles (LIFO discipline: no
         // later path can still cross these tiles)
-        const auto feeder = path.empty() ? coordinate{} : path.back();
         if (path.empty())
         {
             // direct link: disconnect the most recent incoming entry of dst
@@ -209,7 +260,7 @@ private:
         }
         else
         {
-            layout.disconnect(feeder, dst);
+            layout.disconnect(path.back(), dst);
             for (auto it = path.rbegin(); it != path.rend(); ++it)
             {
                 layout.clear_tile(*it);
@@ -217,18 +268,45 @@ private:
         }
     }
 
-    /// Routes fanin \p j of node \p v (placed at \p t), then continues.
+    /// Forward check once node order[i] is placed and routed: true if a
+    /// placed node that still drives a later node has no usable exit left.
+    ///
+    /// Sound, so only subtrees without a solution are cut: every path
+    /// enumerate_paths can build from a tile starts on an outgoing-clocked
+    /// neighbor that is an empty ground tile, a crossable ground wire, or
+    /// the consumer's own tile, which the consumer took while it was still
+    /// empty. lyt::usable_exits counts exactly the empty ground tiles and
+    /// crossable ground wires. Below a search node tiles are only added,
+    /// never removed, so a neighbor that is none of these now never becomes
+    /// one: with zero usable exits the node's later connections cannot be
+    /// routed.
+    [[nodiscard]] bool strands_a_driver(const gate_level_layout& layout, const std::size_t i) const
+    {
+        for (std::size_t u = 0; u <= i; ++u)
+        {
+            if (last_use[u] > i && lyt::usable_exits(layout, tile_of[order[u]]) == 0)
+            {
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /// Routes fanin \p j of node order[\p i] (placed at \p t), then continues.
     bool route_fanins(gate_level_layout& layout, const std::size_t i, const coordinate& t, const std::size_t j)
     {
-        const auto v = order[i];
-        const auto fis = net.fanins(v);
+        const auto fis = net.fanins(order[i]);
         if (j == fis.size())
         {
-            return recurse(layout, i + 1);
+            return !strands_a_driver(layout, i) && recurse(layout, i + 1);
         }
         const auto src = tile_of[fis[j]];
-        for (const auto& path : enumerate_paths(layout, src, t))
+        auto& arena = trt::scratch();
+        const trt::scratch_region region{arena};
+        const auto paths = enumerate_paths(arena, layout, src, t);
+        for (std::size_t k = 0; k < paths.size(); ++k)
         {
+            const auto path = paths[k];
             lyt::establish_path(layout, src, t, path);
             if (route_fanins(layout, i, t, j + 1))
             {
@@ -251,6 +329,10 @@ private:
         const auto v = order[i];
         const auto t = net.type(v);
         const auto fis = net.fanins(v);
+        const auto topo = layout.topology();
+        const auto& clocking = layout.clocking();
+        const auto needed_exits = exits_needed[i];
+        const auto& io_name = (net.is_pi(v) || net.is_po(v)) ? net.name_of(v) : no_io_name;
 
         // candidate tiles: empty ground tiles compatible with all placed
         // fanins, nearest-first. The list is rebuilt at every search node, so
@@ -281,22 +363,20 @@ private:
                 for (const auto fi : fis)
                 {
                     const auto& src = tile_of[fi];
-                    if (!may_reach(src, c))
+                    // cheap per-scheme reachability prune
+                    if (!lyt::may_flow(params.scheme, topo, src, c))
                     {
                         ok = false;
                         break;
                     }
-                    dist += lyt::grid_distance(src, c, layout.topology());
+                    dist += lyt::grid_distance(src, c, topo);
                 }
                 if (!ok)
                 {
                     continue;
                 }
                 // capacity prune: enough exit/entry room around the tile
-                const auto users = net.fanout_size(v);
-                const auto exits_needed =
-                    std::min<std::size_t>(users, t == gate_type::fanout ? 2 : (t == gate_type::po ? 0 : 1));
-                if (lyt::usable_exits(layout, c) < exits_needed)
+                if (lyt::usable_exits(layout, c) < needed_exits)
                 {
                     continue;
                 }
@@ -304,8 +384,7 @@ private:
                 for (const auto fi : fis)
                 {
                     const auto& src = tile_of[fi];
-                    if (lyt::are_adjacent(src, c, layout.topology()) &&
-                        layout.clocking().is_incoming_clocked(c, src))
+                    if (lyt::are_adjacent(src, c, topo) && clocking.is_incoming_clocked(c, src))
                     {
                         ++entries;
                     }
@@ -327,7 +406,7 @@ private:
         {
             std::pop_heap(first, last, later);
             const auto c = (--last)->tile;
-            layout.place(c, t, (net.is_pi(v) || net.is_po(v)) ? net.name_of(v) : std::string{});
+            layout.place(c, t, io_name);
             tile_of[v] = c;
             if (route_fanins(layout, i, c, 0))
             {
@@ -338,12 +417,21 @@ private:
         return false;
     }
 
+    /// Paths per connection that path_list holds before its buffers grow;
+    /// the default max_paths_per_edge fits.
+    static constexpr std::size_t expected_paths = 8;
+    inline static const std::string no_io_name{};
+
     const logic_network& net;
     const exact_params& params;
     std::chrono::steady_clock::time_point deadline;
     std::size_t search_nodes{0};
     std::uint32_t deadline_counter{0};
     std::vector<logic_network::node> order;
+    /// Position in `order` of the last consumer of order[u] (0 if none).
+    std::vector<std::size_t> last_use;
+    /// Usable exits a tile needs to host order[i].
+    std::vector<std::size_t> exits_needed;
     /// Tile of every placed node, indexed by node. Entries of nodes not yet
     /// placed are stale; the topological order only reads placed fanins.
     std::vector<coordinate> tile_of;

@@ -197,6 +197,13 @@ job_products run_job_into(layout_store& sink, const layout_store* cache, const b
     return products;
 }
 
+/// True when a job put nothing into the store: every combination was cached.
+bool added_nothing(const job_products& products)
+{
+    return products.networks_added == 0 && products.layouts_added == 0 && products.failures_recorded == 0 &&
+           products.completed_marked == 0;
+}
+
 void fold(populate_report& report, const job_products& products)
 {
     report.networks_added += products.networks_added;
@@ -354,14 +361,20 @@ populate_report populate_store(layout_store& store, const std::vector<bm::benchm
     {
         // a successful rerun clears any worker-crash record a previous
         // (crashed) attempt left for this job
-        store.remove_failure(entries[job.entry_index].set, entries[job.entry_index].name,
-                             cat::gate_library_name(job.library), worker_combination);
+        const auto cleared = store.remove_failure(entries[job.entry_index].set, entries[job.entry_index].name,
+                                                  cat::gate_library_name(job.library), worker_combination);
         if (journaling)
         {
             // durability ordering: the manifest holding the job's results is
             // fsync'd (store.save) *before* the journal marks the job done —
-            // a done record therefore always points at durable results
-            store.save();
+            // a done record therefore always points at durable results. A
+            // job that added nothing found all of its results durable already
+            // (loaded from the manifest or saved by an earlier job) and skips
+            // the save.
+            if (cleared || !added_nothing(products))
+            {
+                store.save();
+            }
             journal->job_done(job.id, products.layouts_added, products.failures_recorded,
                               products.completed_marked, products.blob_ids);
         }
@@ -453,9 +466,15 @@ populate_report populate_store(layout_store& store, const std::vector<bm::benchm
                     try
                     {
                         const auto stats = store.merge_manifest_file(shard_path);
-                        store.remove_failure(entry.set, entry.name, cat::gate_library_name(job.library),
-                                             worker_combination);
-                        store.save();
+                        const auto cleared = store.remove_failure(entry.set, entry.name,
+                                                                  cat::gate_library_name(job.library),
+                                                                  worker_combination);
+                        // as in the in-process path: a shard that adds
+                        // nothing leaves the durable manifest as it is
+                        if (cleared || stats.networks + stats.layouts + stats.failures + stats.completed > 0)
+                        {
+                            store.save();
+                        }
                         if (journaling)
                         {
                             journal->job_done(job.id, stats.layouts, stats.failures, stats.completed,

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <unordered_set>
 #include <vector>
@@ -116,6 +117,35 @@ TEST(CoordinateTest, AdjacencyIgnoresLayer)
     EXPECT_TRUE(are_adjacent({1, 1, 1}, {2, 1, 0}, layout_topology::cartesian));
     EXPECT_FALSE(are_adjacent({1, 1}, {3, 1}, layout_topology::cartesian));
     EXPECT_FALSE(are_adjacent({1, 1}, {2, 2}, layout_topology::cartesian));
+}
+
+TEST(CoordinateTest, AdjacencyMatchesPlanarNeighbors)
+{
+    // are_adjacent decides by offsets, without building the neighbor list;
+    // b is adjacent to a exactly when it is one of a's planar neighbors,
+    // on both row parities and at negative coordinates
+    for (const auto topo : {layout_topology::cartesian, layout_topology::hexagonal_even_row})
+    {
+        for (int y = -3; y < 4; ++y)
+        {
+            for (int x = -3; x < 4; ++x)
+            {
+                const coordinate a{x, y};
+                const auto ns = planar_neighbors(a, topo);
+                for (int by = y - 2; by <= y + 2; ++by)
+                {
+                    for (int bx = x - 2; bx <= x + 2; ++bx)
+                    {
+                        const coordinate b{bx, by, 1};
+                        const auto listed = std::any_of(ns.begin(), ns.end(), [&](const coordinate& n)
+                                                        { return n.x == b.x && n.y == b.y; });
+                        EXPECT_EQ(are_adjacent(a, b, topo), listed)
+                            << topology_name(topo) << ": " << a.to_string() << " vs " << b.to_string();
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(CoordinateTest, GridDistance)

@@ -811,6 +811,63 @@ TEST(LayoutStoreTest, PopulatedManifestBytesAreUnchanged)
     EXPECT_EQ(content_hash(read_file(manifest)), golden);
 }
 
+TEST(LayoutStoreTest, RerunThatAddsNothingSavesTheManifestOnce)
+{
+    auto spec = *bm::find_reference_family("aoi");
+    spec.count = 4;
+    const auto entries = bm::family_entries(spec);
+    populate_options options{};
+    options.deterministic = true;
+    options.journal = true;
+    const store_dir dir{"mnt_store_rerun_saves_test"};
+    const auto manifest = dir.path / "manifest.json";
+
+    // one populate run over the store; counts its store/save spans wherever
+    // they sit in the span tree
+    struct run_saves
+    {
+        std::size_t jobs{0};
+        std::uint64_t saves{0};
+    };
+    const auto populate_and_count_saves = [&]
+    {
+        run_saves result{};
+        tel::set_enabled(true);
+        tel::registry::instance().reset();
+        {
+            layout_store store{dir.path};
+            const auto report = populate_store(store, entries, options);
+            EXPECT_EQ(report.jobs_run, report.jobs_total);
+            result.jobs = report.jobs_run;
+        }
+        const auto report = tel::capture_report();
+        tel::registry::instance().reset();
+        tel::set_enabled(false);
+        const auto count = [&](const auto& self, const tel::span_node& node) -> void
+        {
+            result.saves += node.name == "store/save" ? node.calls : 0;
+            for (const auto& child : node.children)
+            {
+                self(self, *child);
+            }
+        };
+        count(count, *report.trace);
+        return result;
+    };
+
+    // a fresh store: every job adds content and saves before its done record
+    const auto first = populate_and_count_saves();
+    EXPECT_EQ(first.saves, first.jobs + 1);
+    const auto before = read_file(manifest);
+
+    // every combination is cached: only the run-end save writes, and it
+    // writes the same bytes
+    const auto second = populate_and_count_saves();
+    EXPECT_EQ(second.jobs, first.jobs);
+    EXPECT_EQ(second.saves, 1u);
+    EXPECT_EQ(read_file(manifest), before);
+}
+
 TEST(LayoutStoreTest, SaveRendersRowsFromFieldsNotFromTheOpenedManifest)
 {
     // one entry per section, with members reordered, whitespace added, and
